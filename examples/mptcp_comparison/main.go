@@ -62,7 +62,7 @@ func main() {
 		TCP:          tcp.DefaultConfig(),
 		Scenario:     "hsr",
 	}
-	plain, err := dataset.AnalyzeFlow(scenario)
+	plain, _, err := dataset.RunFlowMetrics(scenario)
 	if err != nil {
 		log.Fatal(err)
 	}

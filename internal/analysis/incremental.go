@@ -8,8 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// sendRec is one unacked first transmission in the pending-send queue,
-// shared by the batch and streaming analyzers.
+// txKey identifies one transmission of one segment.
+type txKey struct {
+	seq  int64
+	txNo int
+}
+
+// sendRec is one unacked first transmission in the pending-send queue.
 type sendRec struct {
 	seq     int64
 	at      time.Duration
@@ -18,10 +23,10 @@ type sendRec struct {
 
 // spurCheck is a deferred spurious-timeout classification: a recovery phase
 // whose first timeout at time at was not (yet) spurious when it fired. A
-// data arrival for seq at exactly the same virtual timestamp — which the
-// batch analyzer sees in its whole-trace first pass but a streaming consumer
-// has not received yet — still counts, so the check stays pending until the
-// stream's clock moves past at.
+// data arrival for seq at exactly the same virtual timestamp — which a
+// whole-trace view would see but a streaming consumer has not received yet
+// — still counts, so the check stays pending until the stream's clock moves
+// past at.
 type spurCheck struct {
 	phase int32
 	seq   int64
@@ -31,15 +36,16 @@ type spurCheck struct {
 // Incremental computes FlowMetrics online from a stream of packet events,
 // without ever materializing the event list: attach one as the
 // trace.Recorder of a running flow (dataset.RunFlowMetrics does this) and
-// call Finish when the flow ends. The result is identical to running the
-// batch Analyze over the materialized trace of the same stream — equivalence
-// is tested event-for-event on the hostile corpus and on whole campaigns —
-// for any stream that is causally ordered (a transmission's arrival never
-// precedes its send, and no (seq, transmit#) pair is sent twice; every
-// simulator-produced trace satisfies both).
+// call Finish when the flow ends. Analyze is a replay of a materialized
+// trace through it. The result equals the two-pass reference analyzer kept
+// in the tests — checked event for event on the hostile corpus, on whole
+// campaigns and by a differential fuzz target — for any stream that is
+// causally ordered (a transmission's arrival never precedes its send, and
+// no (seq, transmit#) pair is sent twice; every simulator-produced trace
+// satisfies both).
 //
 // Memory is proportional to the flow's sequence-number range (dense
-// per-segment tables, like the batch analyzer) plus the live recovery state,
+// per-segment tables) plus the live recovery state,
 // but never to the event count: a metrics-only campaign holds no event
 // slices at all. All internal tables survive Reset, so a pooled Incremental
 // (AcquireIncremental / Release) analyzes consecutive flows with near-zero
@@ -59,7 +65,8 @@ type Incremental struct {
 	rttSum   time.Duration
 	pend     []sendRec
 	pendHead int
-	// delivered doubles as the batch analyzer's firstRecv existence check:
+	// delivered doubles as the "has seq arrived yet" check of the spurious
+	// classification:
 	// delivered[seq] is true once any arrival of seq has been processed, and
 	// every processed arrival is at or before the stream's current time.
 	delivered []bool
@@ -80,7 +87,7 @@ type Incremental struct {
 	// retxPending maps an in-recovery transmission counted as lost to the
 	// phase that counted it; the arrival of that exact transmission — always
 	// after the send on a causal stream — refunds the loss, reproducing the
-	// batch analyzer's whole-trace "did it ever arrive" lookup.
+	// whole-trace "did it ever arrive" lookup of the reference analyzer.
 	retxPending map[txKey]int32
 	spurPending []spurCheck
 }
@@ -97,7 +104,7 @@ func NewIncremental(meta trace.FlowMeta) *Incremental {
 // table's capacity so a pooled analyzer's steady state allocates nothing.
 func (a *Incremental) Reset(meta trace.FlowMeta) {
 	// growBool exposes capacity without clearing, so stale trues from the
-	// previous flow must be wiped here; growNeg-style tables self-initialize.
+	// previous flow must be wiped here.
 	clear(a.delivered[:cap(a.delivered)])
 	a.delivered = a.delivered[:0]
 	clear(a.retxPending)
@@ -133,8 +140,8 @@ func (a *Incremental) findPend(seq int64) int {
 
 // Record implements trace.Recorder: it folds one event into the running
 // metrics. Events must arrive in nondecreasing time order; a malformed
-// event latches an error that Finish returns (matching what the batch
-// analyzer's up-front Validate would have reported) and subsequent events
+// event latches an error that Finish returns (matching what an up-front
+// trace.FlowTrace.Validate would have reported) and subsequent events
 // are ignored.
 func (a *Incremental) Record(ev trace.Event) {
 	if a.err != nil {
@@ -213,9 +220,8 @@ func (a *Incremental) Record(ev trace.Event) {
 			a.pend[a.pendHead] = sendRec{}
 			a.pendHead++
 		}
-		// Unlike the batch analyzer, which drops the whole queue with the
-		// trace, a streaming run compacts the evicted prefix so the queue's
-		// footprint tracks the in-flight window, not the flow length.
+		// Compact the evicted prefix so the queue's footprint tracks the
+		// in-flight window, not the flow length.
 		if a.pendHead >= 4096 && a.pendHead >= len(a.pend)/2 {
 			n := copy(a.pend, a.pend[a.pendHead:])
 			a.pend = a.pend[:n]
@@ -283,7 +289,7 @@ func (a *Incremental) pruneSpur(now time.Duration) {
 // Finish closes the flow and returns its metrics — a fresh FlowMetrics that
 // owns all of its memory, so the analyzer can be Reset or Released
 // immediately. It returns the first validation error the stream produced,
-// wrapped exactly as the batch Analyze wraps it.
+// wrapped exactly as Analyze wraps a Validate error.
 func (a *Incremental) Finish() (*FlowMetrics, error) {
 	if a.err != nil {
 		return nil, fmt.Errorf("analysis: %w", a.err)

@@ -12,28 +12,36 @@ import (
 	"repro/internal/trace"
 )
 
-// replayCheck runs the batch analyzer and a streaming replay of the same
-// trace and fails unless they produce identical metrics — or, for invalid
-// traces, identical error strings.
+// replayCheck runs the reference batch analyzer, Analyze, and a fresh
+// streaming analyzer fed event by event over the same trace, and fails
+// unless all three produce identical metrics — or, for invalid traces,
+// identical error strings.
 func replayCheck(t *testing.T, ft *trace.FlowTrace) {
 	t.Helper()
-	want, wantErr := Analyze(ft)
+	want, wantErr := referenceAnalyze(ft)
 	inc := NewIncremental(ft.Meta)
 	for _, ev := range ft.Events {
 		inc.Record(ev)
 	}
-	got, gotErr := inc.Finish()
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("error mismatch: batch %v, streaming %v", wantErr, gotErr)
-	}
-	if wantErr != nil {
-		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("error text mismatch:\nbatch:     %v\nstreaming: %v", wantErr, gotErr)
+	streamed, streamedErr := inc.Finish()
+	analyzed, analyzedErr := Analyze(ft)
+	for _, c := range []struct {
+		name string
+		got  *FlowMetrics
+		err  error
+	}{{"streaming", streamed, streamedErr}, {"Analyze", analyzed, analyzedErr}} {
+		if (wantErr == nil) != (c.err == nil) {
+			t.Fatalf("error mismatch: reference %v, %s %v", wantErr, c.name, c.err)
 		}
-		return
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("metrics mismatch:\nbatch:     %+v\nstreaming: %+v", want, got)
+		if wantErr != nil {
+			if wantErr.Error() != c.err.Error() {
+				t.Fatalf("error text mismatch:\nreference: %v\n%s: %v", wantErr, c.name, c.err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(want, c.got) {
+			t.Fatalf("metrics mismatch:\nreference: %+v\n%s: %+v", want, c.name, c.got)
+		}
 	}
 }
 
@@ -47,9 +55,9 @@ func TestIncrementalMatchesBatchEmptyTrace(t *testing.T) {
 	})
 }
 
-// TestIncrementalMatchesBatchInvalidTraces feeds both analyzers traces that
+// TestIncrementalMatchesBatchInvalidTraces feeds the analyzers traces that
 // decode fine but violate event invariants; the streaming analyzer must
-// latch exactly the error the batch analyzer's up-front Validate reports.
+// latch exactly the error an up-front Validate reports.
 func TestIncrementalMatchesBatchInvalidTraces(t *testing.T) {
 	meta := trace.FlowMeta{ID: "bad", MSS: 1000, Duration: time.Second}
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
@@ -83,7 +91,7 @@ func TestIncrementalMatchesBatchInvalidTraces(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatchCorpus replays every checked-in hostile input
-// under internal/trace/testdata/corpus through both analyzers. Most corpus
+// under internal/trace/testdata/corpus through the analyzers. Most corpus
 // files are rejected by the decoders before any analyzer runs — the test
 // then asserts both decode paths agree — and any that do decode must
 // analyze identically.
@@ -140,12 +148,12 @@ func TestIncrementalPoolReuse(t *testing.T) {
 			{At: ms(461), Type: trace.EvRecovered, Seq: -1, Ack: 5},
 		},
 	}
-	want, err := Analyze(second)
+	want, err := referenceAnalyze(second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.SpuriousTimeouts != 0 {
-		t.Fatalf("batch SpuriousTimeouts = %d, want 0 (test premise)", want.SpuriousTimeouts)
+		t.Fatalf("reference SpuriousTimeouts = %d, want 0 (test premise)", want.SpuriousTimeouts)
 	}
 
 	first := handTrace() // delivers seq 4, among others
@@ -168,7 +176,7 @@ func TestIncrementalPoolReuse(t *testing.T) {
 	}
 	b.Release()
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("reused analyzer diverged from batch:\nbatch:  %+v\nreused: %+v", want, got)
+		t.Fatalf("reused analyzer diverged from the reference:\nreference: %+v\nreused:    %+v", want, got)
 	}
 }
 
@@ -222,7 +230,7 @@ func TestSeqTableGrowth(t *testing.T) {
 
 // TestIncrementalSparseHighSequence is the regression test for the grow
 // policy end to end: a trace whose sequence numbers jump to five million
-// must analyze identically in both pipelines and must not pin more than
+// must analyze identically to the reference and must not pin more than
 // need+slack table capacity in the streaming analyzer.
 func TestIncrementalSparseHighSequence(t *testing.T) {
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }

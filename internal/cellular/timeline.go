@@ -13,8 +13,8 @@ import "time"
 // and — whenever the train speed is constant over the segment (cruise,
 // stationary, or past the end of the trip) — the loss probabilities are
 // fully precomputed at compile time using the exact same sequence of
-// floating-point operations as the span-based DataTransitProb /
-// AckTransitProb, so a timeline answer is bit-identical to the legacy one.
+// floating-point operations as a direct evaluation over the span lists, so
+// a timeline answer is bit-identical to the span oracle the tests keep.
 // Accel/decel segments only pin the handoff/gap flags and evaluate the
 // speed-dependent term per query through the railway.Geometry memo (which is
 // itself the single implementation behind Trip.SpeedKmh).
@@ -190,7 +190,8 @@ func speedFrac(v float64) float64 {
 }
 
 // precomputeProbs fills the segment's loss probabilities, replicating the
-// exact floating-point operation order of DataTransitProb/AckTransitProb:
+// exact floating-point operation order of the per-query evaluation
+// (dataProbAt/ackProbAt):
 // p := Base + Speed*f, then += the handoff term, then += the gap term, then
 // clamp. Associativity is not assumed anywhere — each variant repeats the
 // same left-to-right additions the per-packet code performs.
@@ -278,7 +279,7 @@ func (cur *tlCursor) seg(t time.Duration) *tlSeg {
 
 // dataProbAt evaluates the downlink transit loss probability given the
 // already-resolved sent segment, deferring the arrival lookup to the
-// supplied function so the arrival cursor only moves when the legacy code
+// supplied function so the arrival cursor only moves when the span oracle
 // would actually have consulted the arrival spans.
 func (c *Channel) dataProbAt(ss *tlSeg, sent time.Duration, arrivalSeg func() *tlSeg) float64 {
 	if ss.constSpeed {
@@ -330,11 +331,11 @@ func (c *Channel) extraDelayAt(s *tlSeg, t time.Duration) time.Duration {
 	return 0
 }
 
-// DataLossCursor returns a cursor-backed equivalent of DataTransitProb for
-// one flow direction: bit-identical answers, O(1) amortized lookups. The
-// sent and arrival time series each get their own cursor (arrivals jitter,
-// so they fall back to binary search occasionally; sent times are
-// nondecreasing).
+// DataLossCursor returns the downlink loss probability of a packet sent at
+// flow time sent and arriving at arrival, in O(1) amortized lookups. A
+// packet sent while the bearer is down (a retransmission probe) faces
+// HandoffProbeLoss; one arriving into the outage faces HandoffDataLoss. The
+// sent and arrival series each get their own cursor.
 func (c *Channel) DataLossCursor() func(sent, arrival time.Duration) float64 {
 	sc := &tlCursor{c: c}
 	ac := &tlCursor{c: c}
@@ -343,7 +344,9 @@ func (c *Channel) DataLossCursor() func(sent, arrival time.Duration) float64 {
 	}
 }
 
-// AckLossCursor returns a cursor-backed equivalent of AckTransitProb.
+// AckLossCursor returns the uplink (ACK) loss probability for an ACK sent at
+// flow time sent. The radio segment sits at the start of an ACK's journey
+// (the phone), so only the sent epoch matters.
 func (c *Channel) AckLossCursor() func(sent, arrival time.Duration) float64 {
 	sc := &tlCursor{c: c}
 	return func(sent, _ time.Duration) float64 {
@@ -351,41 +354,13 @@ func (c *Channel) AckLossCursor() func(sent, arrival time.Duration) float64 {
 	}
 }
 
-// DelayCursor returns a cursor-backed equivalent of ExtraDelay.
+// DelayCursor returns the one-way delay inflation at flow time t: a packet
+// entering the link mid-handoff is buffered until the outage ends, plus the
+// handoff signalling cost. This buffering is what makes handoff timeouts
+// spurious: the originals arrive after the RTO has fired.
 func (c *Channel) DelayCursor() func(t time.Duration) time.Duration {
 	cur := &tlCursor{c: c}
 	return func(t time.Duration) time.Duration {
 		return c.extraDelayAt(cur.seg(t), t)
 	}
 }
-
-// TimelinePoint is the channel state at one instant, as answered by the
-// compiled timeline. DataLossProb/AckLossProb take the single-epoch view
-// (sent == arrival), matching Channel.DataLossProb/AckLossProb.
-type TimelinePoint struct {
-	InHandoff    bool
-	InGap        bool
-	DataLossProb float64
-	AckLossProb  float64
-	ExtraDelay   time.Duration
-}
-
-// TimelineAt answers the channel state at flow time t from the compiled
-// timeline with a stateless binary search (no cursor). It is the
-// inspection/verification surface: TimelineAt(t) must agree exactly with
-// the legacy span-based InHandoff/InGap/DataLossProb/AckLossProb/ExtraDelay
-// for every t, which the property and fuzz tests assert.
-func (c *Channel) TimelineAt(t time.Duration) TimelinePoint {
-	cur := tlCursor{c: c, gen: c.gen}
-	s := cur.seg(t)
-	return TimelinePoint{
-		InHandoff:    s.inHandoff && t >= 0,
-		InGap:        s.inGap && t >= 0,
-		DataLossProb: c.dataProbAt(s, t, func() *tlSeg { return s }),
-		AckLossProb:  c.ackProbAt(s, t),
-		ExtraDelay:   c.extraDelayAt(s, t),
-	}
-}
-
-// TimelineSegments returns the number of segments in the compiled timeline.
-func (c *Channel) TimelineSegments() int { return len(c.timeline) }

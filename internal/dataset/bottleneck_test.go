@@ -35,10 +35,10 @@ func TestJainIndex(t *testing.T) {
 }
 
 // contendedFlows builds a small mixed-variant group for the tests.
-func contendedFlows(t *testing.T, n int, withTel bool) []Scenario {
+func contendedFlows(t *testing.T, n int, withTel bool) []Flow {
 	t.Helper()
 	variants := tcp.Variants()
-	flows := make([]Scenario, n)
+	flows := make([]Flow, n)
 	for i := range flows {
 		sc := hsrScenario(t, cellular.ChinaMobileLTE, int64(100+i), 10*time.Second)
 		sc.ID = "contend-" + variants[i%len(variants)].String()
@@ -47,29 +47,39 @@ func contendedFlows(t *testing.T, n int, withTel bool) []Scenario {
 		if withTel {
 			sc.Telemetry = telemetry.NewFlow()
 		}
-		flows[i] = sc
+		flows[i] = Flow{Scenario: sc}
 	}
 	return flows
 }
 
+// contendedStats runs the group and returns each flow's CC and endpoint
+// counters in flow order.
+func contendedStats(t *testing.T, flows []Flow) ([]string, []tcp.Stats) {
+	t.Helper()
+	conns, err := RunContended(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccs := make([]string, len(conns))
+	stats := make([]tcp.Stats, len(conns))
+	for i, c := range conns {
+		ccs[i], stats[i] = c.CC(), c.Stats()
+	}
+	return ccs, stats
+}
+
 func TestRunContendedDeterministic(t *testing.T) {
-	a, err := RunContended(ContendedConfig{Flows: contendedFlows(t, 5, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunContended(ContendedConfig{Flows: contendedFlows(t, 5, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ccs, a := contendedStats(t, contendedFlows(t, 5, false))
+	_, b := contendedStats(t, contendedFlows(t, 5, false))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("equal-seed contended runs diverged:\n%+v\n%+v", a, b)
 	}
 	var delivered int64
-	for i, r := range a {
-		if r.CC != tcp.Variants()[i].String() {
-			t.Errorf("flow %d reports CC %q, want %q", i, r.CC, tcp.Variants()[i])
+	for i, st := range a {
+		if ccs[i] != tcp.Variants()[i].String() {
+			t.Errorf("flow %d reports CC %q, want %q", i, ccs[i], tcp.Variants()[i])
 		}
-		delivered += r.Stats.UniqueDelivered
+		delivered += st.UniqueDelivered
 	}
 	if delivered == 0 {
 		t.Fatal("contended group delivered nothing")
@@ -79,38 +89,34 @@ func TestRunContendedDeterministic(t *testing.T) {
 func TestRunContendedSharedQueueActuallyContends(t *testing.T) {
 	// One flow alone vs the same flow inside a 5-flow group: contention for
 	// the shared transmitter must cost it throughput.
-	solo, err := RunContended(ContendedConfig{Flows: contendedFlows(t, 1, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := RunContended(ContendedConfig{Flows: contendedFlows(t, 5, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group[0].Stats.UniqueDelivered >= solo[0].Stats.UniqueDelivered {
+	_, solo := contendedStats(t, contendedFlows(t, 1, false))
+	_, group := contendedStats(t, contendedFlows(t, 5, false))
+	if group[0].UniqueDelivered >= solo[0].UniqueDelivered {
 		t.Errorf("flow delivered %d contending with 4 others, %d alone — no contention visible",
-			group[0].Stats.UniqueDelivered, solo[0].Stats.UniqueDelivered)
+			group[0].UniqueDelivered, solo[0].UniqueDelivered)
 	}
 }
 
 func TestRunContendedRejectsMixedOperators(t *testing.T) {
 	flows := contendedFlows(t, 2, false)
-	flows[1].Operator = cellular.ChinaUnicom3G
-	if _, err := RunContended(ContendedConfig{Flows: flows}); err == nil {
+	flows[1].Scenario.Operator = cellular.ChinaUnicom3G
+	if _, err := RunContended(flows); err == nil {
 		t.Fatal("mixed-operator group accepted")
 	}
-	if _, err := RunContended(ContendedConfig{}); err == nil {
+	if _, err := RunContended(nil); err == nil {
 		t.Fatal("empty group accepted")
 	}
 }
 
 func TestRunContendedTelemetryByCC(t *testing.T) {
 	flows := contendedFlows(t, 5, true)
-	if _, err := RunContended(ContendedConfig{Flows: flows}); err != nil {
+	if _, err := RunContended(flows); err != nil {
 		t.Fatal(err)
 	}
 	camp := telemetry.NewCampaign()
-	ContendedTelemetry(camp, flows)
+	for _, f := range flows {
+		camp.AddFlow(f.Scenario.Telemetry)
+	}
 	_, _, tc, _, _ := camp.Counters()
 	if len(tc.ByCC) != len(tcp.Variants()) {
 		t.Fatalf("ByCC has %d variants, want %d: %v", len(tc.ByCC), len(tcp.Variants()), tc.ByCC)

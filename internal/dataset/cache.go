@@ -206,44 +206,18 @@ func (c *FlowCache) getKey(key string) (CachedFlow, bool) {
 // than this call's own compute — callers that attach telemetry to the
 // computation can use it exactly like a cache hit (no simulation work of
 // their own happened). A compute error is returned to the leader and every
-// waiter, and nothing is stored.
+// waiter, and nothing is stored. On a nil cache it just runs compute.
 func (c *FlowCache) GetOrCompute(sc Scenario, compute func() (CachedFlow, error)) (CachedFlow, bool, error) {
-	key, err := c.key(sc)
-	if err != nil {
-		// Unkeyable scenario: fall back to a plain computation.
-		c.errors.Add(1)
-		ent, cerr := compute()
-		return ent, false, cerr
-	}
-	if ent, ok := c.getKey(key); ok {
-		return ent, true, nil
-	}
-	c.flightMu.Lock()
-	if call, inflight := c.flight[key]; inflight {
-		c.flightMu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return CachedFlow{}, false, call.err
-		}
-		c.dedups.Add(1)
-		return call.ent, true, nil
-	}
-	call := &flightCall{done: make(chan struct{})}
-	if c.flight == nil {
-		c.flight = make(map[string]*flightCall)
-	}
-	c.flight[key] = call
-	c.flightMu.Unlock()
+	return c.getOrCompute(sc, false, compute)
+}
 
-	call.ent, call.err = compute()
-	if call.err == nil {
-		c.putKey(key, call.ent)
-	}
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(call.done)
-	return call.ent, false, call.err
+// GetOrRun is GetOrCompute with RunFlowMetrics as the computation: the one
+// "cache, else simulate" call. A nil cache always simulates.
+func (c *FlowCache) GetOrRun(sc Scenario) (CachedFlow, bool, error) {
+	return c.GetOrCompute(sc, func() (CachedFlow, error) {
+		m, st, err := RunFlowMetrics(sc)
+		return CachedFlow{Metrics: m, Stats: st}, err
+	})
 }
 
 // GetOrComputeFull is GetOrCompute for callers that need a telemetry-bearing
@@ -254,18 +228,32 @@ func (c *FlowCache) GetOrCompute(sc Scenario, compute func() (CachedFlow, error)
 // flow's outcome, the recompute is bit-identical to the original, so the
 // overwrite changes nothing a metrics-only reader can observe. In-flight
 // dedup is namespaced apart from GetOrCompute's so a full computation never
-// adopts a concurrent metrics-only result (which would lack telemetry).
+// adopts a concurrent metrics-only result (which would lack telemetry). On
+// a nil cache it just runs compute.
 func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (CachedFlow, bool, error) {
+	return c.getOrCompute(sc, true, compute)
+}
+
+// getOrCompute implements GetOrCompute and, with full, GetOrComputeFull.
+func (c *FlowCache) getOrCompute(sc Scenario, full bool, compute func() (CachedFlow, error)) (CachedFlow, bool, error) {
+	if c == nil {
+		ent, err := compute()
+		return ent, false, err
+	}
 	key, err := c.key(sc)
 	if err != nil {
+		// Unkeyable scenario: fall back to a plain computation.
 		c.errors.Add(1)
 		ent, cerr := compute()
 		return ent, false, cerr
 	}
-	if ent, ok := c.getKey(key); ok && ent.Telemetry != nil {
+	if ent, ok := c.getKey(key); ok && (!full || ent.Telemetry != nil) {
 		return ent, true, nil
 	}
-	flightKey := "full:" + key
+	flightKey := key
+	if full {
+		flightKey = "full:" + key
+	}
 	c.flightMu.Lock()
 	if call, inflight := c.flight[flightKey]; inflight {
 		c.flightMu.Unlock()

@@ -178,14 +178,14 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 			}
 			// The campaign path must recover transparently: simulate, rewrite,
 			// then serve the fresh entry.
-			got, hit, err := runCampaignFlow(CampaignConfig{Cache: cache}, sc)
+			got, hit, err := cache.GetOrRun(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hit {
 				t.Fatal("corrupt entry reported as campaign hit")
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !reflect.DeepEqual(want, got.Metrics) {
 				t.Errorf("fallback simulation diverged:\nwant %+v\ngot  %+v", want, got)
 			}
 			if ent, ok := cache.Get(sc); !ok {

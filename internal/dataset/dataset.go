@@ -69,118 +69,6 @@ func (sc Scenario) Validate() error {
 	return sc.TCP.Validate()
 }
 
-// BuildPath constructs the emulated path (downlink data + uplink ACK) for a
-// scenario on the given simulator, layering the scenario's fault schedule
-// (if any) over the cellular channel and both links. It is exported so the
-// MPTCP experiments can wire several paths into one simulation.
-func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Channel, error) {
-	horizon := sc.FlowDuration + time.Minute // slack for in-flight cleanup
-	ch, err := cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
-	if err != nil {
-		return nil, nil, err
-	}
-	faulted := !sc.Faults.Empty()
-	if faulted {
-		ch.AddOutages(sc.Faults.StormOutages(sc.Seed))
-	}
-	op := sc.Operator
-	// Each per-packet consumer gets its own timeline cursor (bit-identical
-	// to the span-based Channel methods, O(1) amortized for the mostly
-	// monotone query series a flow produces).
-	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
-	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
-	fwdDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	revDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	var rateScale func(time.Duration) float64
-	if faulted {
-		var dataDrops, ackDrops *int64
-		if sc.Telemetry != nil {
-			dataDrops = &sc.Telemetry.Faults.DataDrops
-			ackDrops = &sc.Telemetry.Faults.AckDrops
-		}
-		dataLoss = sc.Faults.WrapDataLossCounted(dataLoss, sim.NewRand(sc.Seed, sim.StreamFaultData), dataDrops)
-		ackLoss = sc.Faults.WrapAckLossCounted(ackLoss, sim.NewRand(sc.Seed, sim.StreamFaultAck), ackDrops)
-		fwdDelay = sc.Faults.WrapDelay(fwdDelay)
-		revDelay = sc.Faults.WrapDelay(revDelay)
-		rateScale = sc.Faults.RateScale
-	}
-	fwd := netem.NewLink(simulator, netem.LinkConfig{
-		Rate:      op.DownlinkRate,
-		RateScale: rateScale,
-		MaxQueue:  op.QueuePackets,
-		Delay:     fwdDelay,
-		Loss:      dataLoss,
-	})
-	rev := netem.NewLink(simulator, netem.LinkConfig{
-		Rate:      op.UplinkRate,
-		RateScale: rateScale,
-		MaxQueue:  op.QueuePackets,
-		Delay:     revDelay,
-		Loss:      ackLoss,
-	})
-	return netem.NewPath(fwd, rev), ch, nil
-}
-
-// BuildSharedCell creates the shared air-interface capacity stage of one
-// cell: a downlink and an uplink that only model line rate and queueing.
-// Several subflows of the same phone chained through these stages compete
-// for the same radio capacity (used by the MPTCP duplex experiments).
-func BuildSharedCell(simulator *sim.Simulator, op cellular.Operator) (down, up *netem.Link) {
-	down = netem.NewLink(simulator, netem.LinkConfig{
-		Rate: op.DownlinkRate, MaxQueue: op.QueuePackets, Delay: netem.FixedDelay(0),
-	})
-	up = netem.NewLink(simulator, netem.LinkConfig{
-		Rate: op.UplinkRate, MaxQueue: op.QueuePackets, Delay: netem.FixedDelay(0),
-	})
-	return down, up
-}
-
-// BuildSubflowPath builds a per-subflow path whose loss and delay are
-// independent (own cellular channel, own seed) but whose capacity is the
-// shared cell stage: packets traverse the subflow's channel link first
-// (synchronous loss verdict, so traces stay exact) and then queue on the
-// shared air interface.
-func BuildSubflowPath(simulator *sim.Simulator, sc Scenario, sharedDown, sharedUp *netem.Link) (*netem.Path, error) {
-	horizon := sc.FlowDuration + time.Minute
-	ch, err := cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
-	if err != nil {
-		return nil, err
-	}
-	faulted := !sc.Faults.Empty()
-	if faulted {
-		ch.AddOutages(sc.Faults.StormOutages(sc.Seed))
-	}
-	op := sc.Operator
-	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
-	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
-	fwdDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	revDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	if faulted {
-		dataLoss = sc.Faults.WrapDataLoss(dataLoss, sim.NewRand(sc.Seed, sim.StreamFaultData))
-		ackLoss = sc.Faults.WrapAckLoss(ackLoss, sim.NewRand(sc.Seed, sim.StreamFaultAck))
-		fwdDelay = sc.Faults.WrapDelay(fwdDelay)
-		revDelay = sc.Faults.WrapDelay(revDelay)
-	}
-	fwd := netem.NewLink(simulator, netem.LinkConfig{Delay: fwdDelay, Loss: dataLoss})
-	rev := netem.NewLink(simulator, netem.LinkConfig{Delay: revDelay, Loss: ackLoss})
-	return netem.NewPath(
-		netem.NewChain(fwd, sharedDown),
-		netem.NewChain(rev, sharedUp),
-	), nil
-}
-
 // simEventBudgetPerSecond is the kernel event budget granted per simulated
 // second (plus a minute of slack). Real flows execute a few thousand events
 // per simulated second; two million leaves three orders of magnitude of
@@ -203,58 +91,252 @@ func (sc Scenario) FlowMeta() trace.FlowMeta {
 	}
 }
 
-// runScenario simulates one scenario end to end, streaming every packet
-// event into rec, and returns the endpoint counters. This is the single
-// simulation core under both the materializing RunFlow and the streaming
-// RunFlowMetrics: the sink is the only difference between the two, so their
-// simulations are bit-identical. The kernel runs under an event budget so a
-// runaway schedule fails loudly instead of hanging the campaign.
-func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
-	if err := sc.Validate(); err != nil {
-		return tcp.Stats{}, err
+// Flow is one TCP connection of a simulation run: the scenario it runs
+// under, where its packet events go and how it starts.
+type Flow struct {
+	Scenario Scenario
+	// Recorder receives the flow's packet events; nil discards them.
+	Recorder trace.Recorder
+	// Segments, when positive, makes the flow a fixed-size transfer of that
+	// many segments (tcp.Conn.StartSized) with Scenario.FlowDuration as its
+	// horizon; zero sends bulk data for Scenario.FlowDuration.
+	Segments int64
+	// Wire, when non-nil, runs on the run's simulator after the connection
+	// is built and before it starts (mptcp backup mode attaches its backup
+	// path and hooks here).
+	Wire func(*sim.Simulator, *tcp.Conn) error
+
+	// conn and stage are what the run built for the flow.
+	conn  *tcp.Conn
+	stage stage
+}
+
+// stage is one flow's private path stage: the downlink (data) and uplink
+// (ACK) links carrying its channel's loss and delay, and the channel.
+type stage struct {
+	fwd, rev *netem.Link
+	ch       *cellular.Channel
+}
+
+// buildStage wires one flow's private stage: its cellular channel, loss and
+// delay models and fault schedule. With lineRate the links also carry the
+// operator's line rate, queue and the schedule's rate collapse; without it
+// they only lose and delay, for chaining into a shared bottleneck.
+func buildStage(simulator *sim.Simulator, sc Scenario, lineRate bool) (stage, error) {
+	horizon := sc.FlowDuration + time.Minute // slack for in-flight cleanup
+	ch, err := cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
+	if err != nil {
+		return stage{}, err
 	}
-	tel := sc.Telemetry
-	var wallStart time.Time
-	if tel != nil {
-		wallStart = time.Now()
+	faulted := !sc.Faults.Empty()
+	if faulted {
+		ch.AddOutages(sc.Faults.StormOutages(sc.Seed))
 	}
+	op := sc.Operator
+	// Each per-packet consumer gets its own timeline cursor (O(1) amortized
+	// for the mostly monotone query series a flow produces).
+	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
+	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
+	fwdDelay := netem.DelayModel(netem.NewSumDelay(
+		netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
+		netem.DelayFunc{Fn: ch.DelayCursor()},
+	))
+	revDelay := netem.DelayModel(netem.NewSumDelay(
+		netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
+		netem.DelayFunc{Fn: ch.DelayCursor()},
+	))
+	var rateScale func(time.Duration) float64
+	if faulted {
+		var dataDrops, ackDrops *int64
+		if sc.Telemetry != nil {
+			dataDrops = &sc.Telemetry.Faults.DataDrops
+			ackDrops = &sc.Telemetry.Faults.AckDrops
+		}
+		dataLoss = sc.Faults.WrapDataLoss(dataLoss, sim.NewRand(sc.Seed, sim.StreamFaultData), dataDrops)
+		ackLoss = sc.Faults.WrapAckLoss(ackLoss, sim.NewRand(sc.Seed, sim.StreamFaultAck), ackDrops)
+		fwdDelay = sc.Faults.WrapDelay(fwdDelay)
+		revDelay = sc.Faults.WrapDelay(revDelay)
+		rateScale = sc.Faults.RateScale
+	}
+	fwd := netem.LinkConfig{Delay: fwdDelay, Loss: dataLoss}
+	rev := netem.LinkConfig{Delay: revDelay, Loss: ackLoss}
+	if lineRate {
+		fwd.Rate, fwd.RateScale, fwd.MaxQueue = op.DownlinkRate, rateScale, op.QueuePackets
+		rev.Rate, rev.RateScale, rev.MaxQueue = op.UplinkRate, rateScale, op.QueuePackets
+	}
+	return stage{fwd: netem.NewLink(simulator, fwd), rev: netem.NewLink(simulator, rev), ch: ch}, nil
+}
+
+// BuildPath constructs one scenario's emulated path (downlink data + uplink
+// ACK, at the operator's line rate and queue) on the given simulator, with
+// the scenario's fault schedule layered over the channel and both links.
+func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Channel, error) {
+	st, err := buildStage(simulator, sc, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return netem.NewPath(st.fwd, st.rev), st.ch, nil
+}
+
+// run is the one place that builds a simulator and TCP connections for
+// cellular flows. It creates the simulator and its event budget, builds each
+// flow's private stage at the operator's line rate or, when shared, chained
+// into one netem.Bottleneck sized by the first flow's operator, creates the
+// connections, starts them in flow order, runs to the longest horizon, and
+// harvests telemetry for flows that carry a bundle. Construction schedules
+// nothing, so the events are those of building and starting each flow in
+// turn. Only a lone flow's bundle gets the (shared) kernel counters.
+func run(flows []Flow, shared bool) error {
+	if len(flows) == 0 {
+		return fmt.Errorf("dataset: a run needs at least one flow")
+	}
+	op := flows[0].Scenario.Operator
+	var horizon time.Duration
+	for i := range flows {
+		sc := &flows[i].Scenario
+		if err := sc.Validate(); err != nil {
+			return err
+		}
+		if shared && sc.Operator.Name != op.Name {
+			return fmt.Errorf("dataset: flows sharing a cell must share one operator (%s vs %s)",
+				op.Name, sc.Operator.Name)
+		}
+		horizon = max(horizon, sc.FlowDuration)
+	}
+	wallStart := time.Now()
 	simulator := sim.New()
-	budget := int64((sc.FlowDuration+time.Minute)/time.Second) * simEventBudgetPerSecond
+	budget := int64(len(flows)) * int64((horizon+time.Minute)/time.Second) * simEventBudgetPerSecond
 	simulator.SetBudget(sim.Budget{MaxEvents: budget})
-	if tel != nil {
-		simulator.SetTelemetry(&tel.Kernel)
+	var kernel *telemetry.Kernel
+	if len(flows) == 1 && flows[0].Scenario.Telemetry != nil {
+		kernel = &flows[0].Scenario.Telemetry.Kernel
+		simulator.SetTelemetry(kernel)
 	}
-	path, ch, err := BuildPath(simulator, sc)
-	if err != nil {
-		return tcp.Stats{}, err
+	var cell *netem.Bottleneck
+	if shared {
+		var err error
+		cell, err = netem.NewBottleneck(simulator, netem.BottleneckConfig{
+			DownRate: op.DownlinkRate, UpRate: op.UplinkRate, Queue: op.QueuePackets,
+		})
+		if err != nil {
+			return err
+		}
 	}
-	if sc.FlightRecorder != nil {
-		rec = trace.Tee{rec, sc.FlightRecorder}
+
+	for i := range flows {
+		f := &flows[i]
+		st, err := buildStage(simulator, f.Scenario, !shared)
+		if err != nil {
+			return err
+		}
+		path := netem.NewPath(st.fwd, st.rev)
+		if shared {
+			path = cell.FlowPath(st.fwd, st.rev)
+		}
+		rec := f.Recorder
+		if rec == nil {
+			rec = trace.Nop{}
+		}
+		if f.Scenario.FlightRecorder != nil {
+			rec = trace.Tee{rec, f.Scenario.FlightRecorder}
+		}
+		conn, err := tcp.New(simulator, path, f.Scenario.TCP, rec)
+		if err != nil {
+			return err
+		}
+		if tel := f.Scenario.Telemetry; tel != nil {
+			conn.SetTelemetry(&tel.TCP)
+		}
+		if f.Wire != nil {
+			if err := f.Wire(simulator, conn); err != nil {
+				return err
+			}
+		}
+		f.conn, f.stage = conn, st
 	}
-	conn, err := tcp.New(simulator, path, sc.TCP, rec)
-	if err != nil {
-		return tcp.Stats{}, err
+	for i := range flows {
+		f := &flows[i]
+		var err error
+		if f.Segments > 0 {
+			err = f.conn.StartSized(f.Segments, f.Scenario.FlowDuration)
+		} else {
+			err = f.conn.Start(f.Scenario.FlowDuration)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if tel != nil {
-		conn.SetTelemetry(&tel.TCP)
-	}
-	if err := conn.Start(sc.FlowDuration); err != nil {
-		return tcp.Stats{}, err
-	}
-	simulator.RunUntil(sc.FlowDuration)
+
+	simulator.RunUntil(horizon)
 	if simulator.Exhausted() {
-		return tcp.Stats{}, fmt.Errorf("dataset: flow %s exhausted its %d-event kernel budget at t=%v (runaway schedule?)",
-			sc.ID, budget, simulator.Now())
+		what := "flow " + flows[0].Scenario.ID
+		if len(flows) > 1 {
+			what = fmt.Sprintf("group of %d flows", len(flows))
+		}
+		return fmt.Errorf("dataset: %s exhausted its %d-event kernel budget at t=%v (runaway schedule?)",
+			what, budget, simulator.Now())
 	}
-	if tel != nil {
-		harvestFlow(tel, sc, simulator, path, ch, conn, budget, wallStart)
+	if kernel != nil {
+		kernel.VirtualNS = int64(simulator.Now())
+		kernel.BudgetEvents = budget
 	}
-	return conn.Stats(), nil
+	for i := range flows {
+		if flows[i].Scenario.Telemetry != nil {
+			harvestFlow(&flows[i], wallStart)
+		}
+	}
+	return nil
+}
+
+// RunSolo simulates one flow on its own path at the operator's line rate
+// and returns its finished connection, for callers that read the endpoint
+// itself (counters, sized-flow completion) rather than a trace or metrics.
+func RunSolo(f Flow) (*tcp.Conn, error) {
+	flows := [1]Flow{f}
+	if err := run(flows[:], false); err != nil {
+		return nil, err
+	}
+	return flows[0].conn, nil
+}
+
+// RunContended simulates every flow inside one simulator over one shared
+// cell (a netem.Bottleneck sized by their common operator) and returns the
+// finished connections in flow order. Each flow keeps its own channel, seed
+// streams, faults and congestion control; their packets contend for the
+// cell's queues. One simulator makes the outcome bit-identical at any -jobs
+// or worker count.
+func RunContended(flows []Flow) ([]*tcp.Conn, error) {
+	if err := run(flows, true); err != nil {
+		return nil, err
+	}
+	conns := make([]*tcp.Conn, len(flows))
+	for i := range flows {
+		conns[i] = flows[i].conn
+	}
+	return conns, nil
+}
+
+// JainIndex computes Jain's fairness index (sum x)^2 / (n * sum x^2) over
+// per-flow throughputs: 1 is perfectly fair, 1/n is maximally unfair.
+// Empty or all-zero inputs return 0.
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
 // RunFlow simulates one scenario end to end and returns its complete packet
 // trace and the endpoint counters. Use it when the events themselves are the
-// product (CSV export, tracegen, figure rendering); campaigns that only need
+// product (CSV export, tracegen, figure rendering); callers that only need
 // metrics should use RunFlowMetrics, which never materializes the event
 // list.
 func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
@@ -264,11 +346,11 @@ func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
 	// that up front replaces log2(n) append doublings — each a full copy of
 	// a multi-megabyte list — with at most one growth.
 	ft.Grow(int(sc.FlowDuration/time.Second+1) * 1200)
-	st, err := runScenario(sc, ft)
+	conn, err := RunSolo(Flow{Scenario: sc, Recorder: ft})
 	if err != nil {
 		return nil, tcp.Stats{}, err
 	}
-	return ft, st, nil
+	return ft, conn.Stats(), nil
 }
 
 // RunFlowMetrics simulates one scenario and reduces it to FlowMetrics
@@ -279,7 +361,7 @@ func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
 func RunFlowMetrics(sc Scenario) (*analysis.FlowMetrics, tcp.Stats, error) {
 	inc := analysis.AcquireIncremental(sc.FlowMeta())
 	defer inc.Release()
-	st, err := runScenario(sc, inc)
+	conn, err := RunSolo(Flow{Scenario: sc, Recorder: inc})
 	if err != nil {
 		return nil, tcp.Stats{}, err
 	}
@@ -287,36 +369,28 @@ func RunFlowMetrics(sc Scenario) (*analysis.FlowMetrics, tcp.Stats, error) {
 	if err != nil {
 		return nil, tcp.Stats{}, err
 	}
-	return m, st, nil
+	return m, conn.Stats(), nil
 }
 
-// harvestFlow fills the telemetry bundle's end-of-run sections: kernel time
-// and budget, link counters (read once from the links instead of per-packet
-// instrumentation), fault-schedule activity, and the endpoint flush.
-func harvestFlow(tel *telemetry.Flow, sc Scenario, simulator *sim.Simulator, path *netem.Path, ch *cellular.Channel, conn *tcp.Conn, budget int64, wallStart time.Time) {
-	tel.Kernel.VirtualNS = int64(simulator.Now())
-	tel.Kernel.BudgetEvents = budget
-	if l, ok := path.Forward.(*netem.Link); ok {
-		harvestLink(&tel.Net.Data, l.Stats())
-	}
-	if l, ok := path.Reverse.(*netem.Link); ok {
-		harvestLink(&tel.Net.Ack, l.Stats())
-	}
-	if ch != nil {
-		st := ch.Stats()
-		tel.Channel.Compiles += st.Compiles
-		tel.Channel.Segments += st.Segments
-		tel.Channel.CursorQueries += st.CursorQueries
-		tel.Channel.CursorAdvances += st.CursorAdvances
-		tel.Channel.CursorFallbacks += st.CursorFallbacks
-	}
-	if !sc.Faults.Empty() {
+// harvestFlow fills a flow's telemetry bundle after its run: its private
+// stage's link counters, channel and fault activity, and the endpoint flush.
+func harvestFlow(f *Flow, wallStart time.Time) {
+	tel := f.Scenario.Telemetry
+	harvestLink(&tel.Net.Data, f.stage.fwd.Stats())
+	harvestLink(&tel.Net.Ack, f.stage.rev.Stats())
+	st := f.stage.ch.Stats()
+	tel.Channel.Compiles += st.Compiles
+	tel.Channel.Segments += st.Segments
+	tel.Channel.CursorQueries += st.CursorQueries
+	tel.Channel.CursorAdvances += st.CursorAdvances
+	tel.Channel.CursorFallbacks += st.CursorFallbacks
+	if sched := f.Scenario.Faults; !sched.Empty() {
 		tel.Faults.Schedules++
-		episodes, storms := sc.Faults.Counts()
+		episodes, storms := sched.Counts()
 		tel.Faults.Episodes += int64(episodes)
 		tel.Faults.StormOutages += int64(storms)
 	}
-	conn.FlushTelemetry()
+	f.conn.FlushTelemetry()
 	tel.WallNS = time.Since(wallStart).Nanoseconds()
 }
 
@@ -331,61 +405,4 @@ func harvestLink(dst *telemetry.LinkCounters, st netem.LinkStats) {
 	}
 	dst.VectorBursts += int64(st.VectorBursts)
 	dst.VectorPackets += int64(st.VectorPackets)
-}
-
-// AnalyzeFlow runs a scenario and reduces it to metrics through the
-// streaming pipeline (campaigns over hundreds of flows would otherwise hold
-// gigabytes of events).
-func AnalyzeFlow(sc Scenario) (*analysis.FlowMetrics, error) {
-	m, _, err := RunFlowMetrics(sc)
-	return m, err
-}
-
-// RunOptions selects how a flow's metrics are produced: through the result
-// cache (skip simulation on a hit, populate on a miss), and through which
-// analysis pipeline.
-type RunOptions struct {
-	// Cache, when non-nil, is consulted before simulating and populated
-	// after; nil always simulates.
-	Cache *FlowCache
-	// Materialize forces the legacy materialize-then-analyze path (the full
-	// event list is built and handed to the batch analyzer). It exists to
-	// cross-check the streaming pipeline — output must be byte-identical —
-	// and bypasses the cache entirely.
-	Materialize bool
-}
-
-// AnalyzeFlowOpts is AnalyzeFlow with pipeline options. Cache hits skip the
-// simulation; the scenario's Telemetry bundle (if any) is then left
-// untouched, since no simulation work happened (the cache's own counters
-// record the hit).
-func AnalyzeFlowOpts(opt RunOptions, sc Scenario) (*analysis.FlowMetrics, error) {
-	if opt.Materialize {
-		ft, _, err := RunFlow(sc)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.Analyze(ft)
-	}
-	if opt.Cache != nil {
-		// GetOrCompute additionally deduplicates concurrent misses of the
-		// same key (e.g. identical jobs racing in a server): the flow
-		// simulates once and every caller shares the result.
-		ent, _, err := opt.Cache.GetOrCompute(sc, func() (CachedFlow, error) {
-			m, st, err := RunFlowMetrics(sc)
-			if err != nil {
-				return CachedFlow{}, err
-			}
-			return CachedFlow{Metrics: m, Stats: st}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return ent.Metrics, nil
-	}
-	m, _, err := RunFlowMetrics(sc)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -23,7 +23,7 @@ func TestReportModelFit(t *testing.T) {
 		var padD, enhD []float64
 		for seed := int64(1); seed <= 16; seed++ {
 			start, _ := hsr.CruiseWindow()
-			m, err := AnalyzeFlow(Scenario{
+			m, _, err := RunFlowMetrics(Scenario{
 				ID: "fit", Operator: op, Trip: hsr, TripOffset: start + time.Duration(seed)*29*time.Second,
 				FlowDuration: 120 * time.Second, Seed: seed, TCP: tcp.DefaultConfig(), Scenario: "hsr",
 			})

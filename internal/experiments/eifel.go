@@ -56,16 +56,17 @@ func Eifel(cfg Config) (*EifelResult, error) {
 			TCP:          defaultTCP(),
 			Scenario:     "hsr",
 		}
-		_, plainStats, err := dataset.RunFlow(base)
+		plain, err := dataset.RunSolo(dataset.Flow{Scenario: base})
 		if err != nil {
 			return nil, err
 		}
 		withEifel := base
 		withEifel.TCP.SpuriousRTORecovery = true
-		_, eifelStats, err := dataset.RunFlow(withEifel)
+		eifel, err := dataset.RunSolo(dataset.Flow{Scenario: withEifel})
 		if err != nil {
 			return nil, err
 		}
+		plainStats, eifelStats := plain.Stats(), eifel.Stats()
 		pt := EifelPoint{
 			PlainPps:           plainStats.ThroughputPps(),
 			EifelPps:           eifelStats.ThroughputPps(),

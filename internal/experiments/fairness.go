@@ -24,8 +24,18 @@ type FairnessGroup struct {
 	Label     string // "<variant>/<condition>" or "mix/<condition>"
 	Condition string // "clean" or "storm"
 	Jain      float64
-	Flows     []dataset.ContendedResult
+	Flows     []ContendedFlow
 }
+
+// ContendedFlow is one flow's outcome in a shared-bottleneck group.
+type ContendedFlow struct {
+	ID    string
+	CC    string
+	Stats tcp.Stats
+}
+
+// ThroughputPps returns the flow's delivered unique segments per second.
+func (f ContendedFlow) ThroughputPps() float64 { return f.Stats.ThroughputPps() }
 
 // AggregateTputPps sums the group's per-flow throughputs.
 func (g *FairnessGroup) AggregateTputPps() float64 {
@@ -90,12 +100,12 @@ func fairnessConditions(flowDur time.Duration) []struct {
 // Seeds are derived from cfg.Seed, the group ordinal and the flow index, so
 // every group is reproducible and distinct.
 func contendedGroup(cfg Config, trip railway.Trip, start time.Duration,
-	groupOrdinal int64, variants []tcp.Variant, schedule *faults.Schedule) ([]dataset.ContendedResult, error) {
-	flows := make([]dataset.Scenario, len(variants))
+	groupOrdinal int64, variants []tcp.Variant, schedule *faults.Schedule) ([]ContendedFlow, error) {
+	flows := make([]dataset.Flow, len(variants))
 	for i, v := range variants {
 		tcpCfg := defaultTCP()
 		tcpCfg.Variant = v
-		flows[i] = dataset.Scenario{
+		flows[i].Scenario = dataset.Scenario{
 			ID:           fmt.Sprintf("cc-%d-%s-%d", groupOrdinal, v, i),
 			Operator:     cellular.ChinaMobileLTE,
 			Trip:         trip,
@@ -107,7 +117,15 @@ func contendedGroup(cfg Config, trip railway.Trip, start time.Duration,
 			Faults:       schedule,
 		}
 	}
-	return dataset.RunContended(dataset.ContendedConfig{Flows: flows})
+	conns, err := dataset.RunContended(flows)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ContendedFlow, len(conns))
+	for i, c := range conns {
+		out[i] = ContendedFlow{ID: flows[i].Scenario.ID, CC: c.CC(), Stats: c.Stats()}
+	}
+	return out, nil
 }
 
 // Fairness runs the intra-variant shared-bottleneck comparison.

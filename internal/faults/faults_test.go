@@ -241,7 +241,7 @@ func TestWrapLoss(t *testing.T) {
 	s := mustParse(t, "blackout@10s+2s; ackburst@20s+2s p=1")
 	inner := &countingLoss{}
 	rng := sim.NewRand(1, sim.StreamFaultData)
-	wrapped := s.WrapDataLoss(inner, rng)
+	wrapped := s.WrapDataLoss(inner, rng, nil)
 
 	// Outside every episode the inner model decides.
 	if wrapped.Drop(5*time.Second, 5*time.Second) {
@@ -257,7 +257,7 @@ func TestWrapLoss(t *testing.T) {
 	}
 
 	// Ack direction sees the p=1 burst; data direction does not.
-	ackWrapped := s.WrapAckLoss(&countingLoss{}, sim.NewRand(1, sim.StreamFaultAck))
+	ackWrapped := s.WrapAckLoss(&countingLoss{}, sim.NewRand(1, sim.StreamFaultAck), nil)
 	if !ackWrapped.Drop(21*time.Second, 21*time.Second) {
 		t.Error("no ACK drop inside p=1 ackburst")
 	}
@@ -268,10 +268,10 @@ func TestWrapLoss(t *testing.T) {
 	// Empty schedules wrap to the inner model itself: zero overhead, and
 	// byte-identical baseline behaviour.
 	var empty *Schedule
-	if got := empty.WrapDataLoss(inner, rng); got != netem.LossModel(inner) {
+	if got := empty.WrapDataLoss(inner, rng, nil); got != netem.LossModel(inner) {
 		t.Error("empty schedule should return the inner loss model unchanged")
 	}
-	if got := empty.WrapAckLoss(inner, rng); got != netem.LossModel(inner) {
+	if got := empty.WrapAckLoss(inner, rng, nil); got != netem.LossModel(inner) {
 		t.Error("empty schedule should return the inner ACK loss model unchanged")
 	}
 }

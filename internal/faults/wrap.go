@@ -37,15 +37,10 @@ func (li *lossInjector) Drop(sent, arrival time.Duration) bool {
 
 // WrapDataLoss layers the schedule's data-direction faults (blackouts) over
 // inner. The rng should be derived from the flow seed on
-// sim.StreamFaultData so fault draws perturb no other stream.
-func (s *Schedule) WrapDataLoss(inner netem.LossModel, rng *rand.Rand) netem.LossModel {
-	return s.WrapDataLossCounted(inner, rng, nil)
-}
-
-// WrapDataLossCounted is WrapDataLoss with fault-drop attribution: every
-// packet the schedule (and not the inner model) kills increments *drops.
-// A nil drops counts nothing and behaves exactly like WrapDataLoss.
-func (s *Schedule) WrapDataLossCounted(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
+// sim.StreamFaultData so fault draws perturb no other stream. Every packet
+// the schedule (and not the inner model) kills increments *drops; a nil
+// drops counts nothing.
+func (s *Schedule) WrapDataLoss(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
 	if s.Empty() {
 		return inner
 	}
@@ -53,14 +48,9 @@ func (s *Schedule) WrapDataLossCounted(inner netem.LossModel, rng *rand.Rand, dr
 }
 
 // WrapAckLoss layers the schedule's ACK-direction faults (blackouts and ACK
-// burst-loss episodes) over inner; use an rng on sim.StreamFaultAck.
-func (s *Schedule) WrapAckLoss(inner netem.LossModel, rng *rand.Rand) netem.LossModel {
-	return s.WrapAckLossCounted(inner, rng, nil)
-}
-
-// WrapAckLossCounted is WrapAckLoss with fault-drop attribution into *drops;
-// nil drops counts nothing.
-func (s *Schedule) WrapAckLossCounted(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
+// burst-loss episodes) over inner; use an rng on sim.StreamFaultAck. Fault
+// drops count into *drops unless it is nil.
+func (s *Schedule) WrapAckLoss(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
 	if s.Empty() {
 		return inner
 	}

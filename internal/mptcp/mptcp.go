@@ -16,14 +16,12 @@ package mptcp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
 // SubflowResult carries one subflow's endpoint counters and trace metrics.
@@ -39,60 +37,45 @@ type DuplexResult struct {
 	ThroughputPps float64
 }
 
+// subflow derives subflow i of a multipath run on base: its own ID and an
+// independent seed, so each subflow sees its own channel.
+func subflow(base dataset.Scenario, i int) dataset.Scenario {
+	sc := base
+	sc.ID = fmt.Sprintf("%s-sub%d", base.ID, i)
+	sc.Seed = base.Seed*7919 + int64(i)*104729
+	return sc
+}
+
 // RunDuplex runs n concurrent subflows, each a full TCP connection over an
 // independently seeded channel of the same operator and trip, inside one
 // simulation. It mirrors the paper's Fig 12 methodology (two flows with no
-// shared bottleneck treated as MPTCP subflows).
+// shared bottleneck treated as MPTCP subflows). All subflows belong to one
+// phone in one cell: they share the air interface capacity but see
+// independent loss/outage processes.
 func RunDuplex(base dataset.Scenario, n int) (*DuplexResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mptcp: subflow count %d must be >= 1", n)
 	}
-	if err := base.Validate(); err != nil {
+	flows := make([]dataset.Flow, n)
+	incs := make([]*analysis.Incremental, n)
+	for i := range flows {
+		sc := subflow(base, i)
+		incs[i] = analysis.AcquireIncremental(sc.FlowMeta())
+		defer incs[i].Release()
+		flows[i] = dataset.Flow{Scenario: sc, Recorder: incs[i]}
+	}
+	conns, err := dataset.RunContended(flows)
+	if err != nil {
 		return nil, err
 	}
-	simulator := sim.New()
 	res := &DuplexResult{}
-	type sub struct {
-		conn *tcp.Conn
-		ft   *trace.FlowTrace
-	}
-	// All subflows belong to one phone in one cell: they share the air
-	// interface capacity but see independent loss/outage processes.
-	sharedDown, sharedUp := dataset.BuildSharedCell(simulator, base.Operator)
-	subs := make([]sub, 0, n)
-	for i := 0; i < n; i++ {
-		sc := base
-		sc.ID = fmt.Sprintf("%s-sub%d", base.ID, i)
-		sc.Seed = base.Seed*7919 + int64(i)*104729
-		path, err := dataset.BuildSubflowPath(simulator, sc, sharedDown, sharedUp)
-		if err != nil {
-			return nil, err
-		}
-		ft := &trace.FlowTrace{Meta: trace.FlowMeta{
-			ID: sc.ID, Operator: sc.Operator.Name, Tech: sc.Operator.Tech.String(),
-			Scenario: sc.Scenario, Seed: sc.Seed, MSS: sc.TCP.MSS,
-			DelayedAckB: sc.TCP.DelayedAckB, WindowLimit: sc.TCP.WindowLimit,
-			Duration: sc.FlowDuration,
-		}}
-		ft.Grow(int(sc.FlowDuration/time.Second+1) * 1200)
-		conn, err := tcp.New(simulator, path, sc.TCP, ft)
-		if err != nil {
-			return nil, err
-		}
-		if err := conn.Start(sc.FlowDuration); err != nil {
-			return nil, err
-		}
-		subs = append(subs, sub{conn: conn, ft: ft})
-	}
-	simulator.RunUntil(base.FlowDuration)
-
 	var total int64
-	for _, s := range subs {
-		m, err := analysis.Analyze(s.ft)
+	for i, conn := range conns {
+		m, err := incs[i].Finish()
 		if err != nil {
 			return nil, err
 		}
-		st := s.conn.Stats()
+		st := conn.Stats()
 		total += st.UniqueDelivered
 		res.Subflows = append(res.Subflows, SubflowResult{Stats: st, Metrics: m})
 	}
@@ -121,68 +104,52 @@ type BackupResult struct {
 // survives, which is how MPTCP's double retransmission reduces the paper's
 // q.
 func RunBackup(base dataset.Scenario) (*BackupResult, error) {
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	simulator := sim.New()
-	primary, _, err := dataset.BuildPath(simulator, base)
-	if err != nil {
-		return nil, err
-	}
-	backupSc := base
-	backupSc.Seed = base.Seed*6700417 + 1
-	backup, _, err := dataset.BuildPath(simulator, backupSc)
-	if err != nil {
-		return nil, err
-	}
-
-	ft := &trace.FlowTrace{Meta: trace.FlowMeta{
-		ID: base.ID + "-backup", Operator: base.Operator.Name, Tech: base.Operator.Tech.String(),
-		Scenario: base.Scenario, Seed: base.Seed, MSS: base.TCP.MSS,
-		DelayedAckB: base.TCP.DelayedAckB, WindowLimit: base.TCP.WindowLimit,
-		Duration: base.FlowDuration,
-	}}
-	ft.Grow(int(base.FlowDuration/time.Second+1) * 1200)
-	conn, err := tcp.New(simulator, primary, base.TCP, ft)
-	if err != nil {
-		return nil, err
-	}
+	sc := base
+	sc.ID += "-backup"
+	inc := analysis.AcquireIncremental(sc.FlowMeta())
+	defer inc.Release()
 	res := &BackupResult{}
-	segSize := base.TCP.MSS + base.TCP.HeaderBytes
-	conn.SetRetransmitHook(func(seq int64) {
-		txNo := conn.LastTransmitNo(seq)
-		if txNo < 1 {
-			txNo = 1
+	wire := func(simulator *sim.Simulator, conn *tcp.Conn) error {
+		backupSc := base
+		backupSc.Seed = base.Seed*6700417 + 1
+		backup, _, err := dataset.BuildPath(simulator, backupSc)
+		if err != nil {
+			return err
 		}
-		res.BackupRetransmits++
-		backup.Forward.Send(segSize, netem.HandlerFunc(func() {
-			res.BackupDelivered++
-			conn.DeliverData(seq, txNo)
-		}))
-	})
-	conn.SetAckSendHook(func(ackNo int64) {
-		// Mirror ACKs only while the sender is stuck in timeout recovery:
-		// mirroring every ACK would make the later primary copy register as
-		// a duplicate ACK and provoke needless fast retransmits.
-		if !conn.InTimeoutRecovery() {
-			return
-		}
-		backup.Reverse.Send(base.TCP.HeaderBytes, netem.HandlerFunc(func() {
-			res.BackupAcksDelivered++
-			conn.InjectAck(ackNo)
-		}))
-	})
-	if err := conn.Start(base.FlowDuration); err != nil {
-		return nil, err
+		segSize := base.TCP.MSS + base.TCP.HeaderBytes
+		conn.SetRetransmitHook(func(seq int64) {
+			txNo := conn.LastTransmitNo(seq)
+			if txNo < 1 {
+				txNo = 1
+			}
+			res.BackupRetransmits++
+			backup.Forward.Send(segSize, netem.HandlerFunc(func() {
+				res.BackupDelivered++
+				conn.DeliverData(seq, txNo)
+			}))
+		})
+		conn.SetAckSendHook(func(ackNo int64) {
+			// Mirror ACKs only while the sender is stuck in timeout recovery:
+			// mirroring every ACK would make the later primary copy register
+			// as a duplicate ACK and provoke needless fast retransmits.
+			if !conn.InTimeoutRecovery() {
+				return
+			}
+			backup.Reverse.Send(base.TCP.HeaderBytes, netem.HandlerFunc(func() {
+				res.BackupAcksDelivered++
+				conn.InjectAck(ackNo)
+			}))
+		})
+		return nil
 	}
-	simulator.RunUntil(base.FlowDuration)
-
-	res.Stats = conn.Stats()
-	m, err := analysis.Analyze(ft)
+	conn, err := dataset.RunSolo(dataset.Flow{Scenario: sc, Recorder: inc, Wire: wire})
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics = m
+	res.Stats = conn.Stats()
+	if res.Metrics, err = inc.Finish(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -199,7 +166,7 @@ func Improvement(multipath, single float64) float64 {
 // CompareDuplex runs the single-flow baseline and an n-subflow duplex run on
 // the same scenario and returns (single pps, duplex pps, improvement).
 func CompareDuplex(base dataset.Scenario, n int) (single, duplex, improvement float64, err error) {
-	m, err := dataset.AnalyzeFlow(base)
+	m, _, err := dataset.RunFlowMetrics(base)
 	if err != nil {
 		return 0, 0, 0, err
 	}

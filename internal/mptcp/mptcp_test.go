@@ -102,9 +102,9 @@ func TestBackupModeReducesRecoveryImpact(t *testing.T) {
 	var backupUsed int
 	for seed := int64(1); seed <= 3; seed++ {
 		sc := hsrScenario(t, cellular.ChinaMobileLTE, seed, 45*time.Second)
-		plain, err := dataset.AnalyzeFlow(sc)
+		plain, _, err := dataset.RunFlowMetrics(sc)
 		if err != nil {
-			t.Fatalf("AnalyzeFlow: %v", err)
+			t.Fatalf("RunFlowMetrics: %v", err)
 		}
 		backup, err := RunBackup(sc)
 		if err != nil {

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
 // SizedResult describes a fixed-size flow (or flow set): how fast it moved
@@ -24,62 +22,35 @@ type SizedResult struct {
 // RunSizedSingle transfers exactly segments data segments over one TCP flow;
 // the scenario's FlowDuration acts as the simulation horizon.
 func RunSizedSingle(base dataset.Scenario, segments int64) (SizedResult, error) {
-	if err := base.Validate(); err != nil {
-		return SizedResult{}, err
-	}
 	if segments <= 0 {
 		return SizedResult{}, fmt.Errorf("mptcp: segments %d must be positive", segments)
 	}
-	simulator := sim.New()
-	path, _, err := dataset.BuildPath(simulator, base)
+	conn, err := dataset.RunSolo(dataset.Flow{Scenario: base, Segments: segments})
 	if err != nil {
 		return SizedResult{}, err
 	}
-	conn, err := tcp.New(simulator, path, base.TCP, trace.Nop{})
-	if err != nil {
-		return SizedResult{}, err
-	}
-	if err := conn.StartSized(segments, base.FlowDuration); err != nil {
-		return SizedResult{}, err
-	}
-	simulator.RunUntil(base.FlowDuration)
 	return sizedResult(conn, segments, base.FlowDuration), nil
 }
 
 // RunSizedDuplex transfers the same total payload as RunSizedSingle but
 // split over two concurrent subflows of segments/2 each, with independently
-// seeded channels (the paper's "no shared bottleneck" assumption). The
-// aggregate throughput is the sum of the two flows' individual throughputs,
-// exactly as the paper computes its MPTCP estimate.
+// seeded channels sharing the phone's cell. The aggregate throughput is the
+// sum of the two flows' individual throughputs, exactly as the paper
+// computes its MPTCP estimate.
 func RunSizedDuplex(base dataset.Scenario, segments int64) (SizedResult, error) {
-	if err := base.Validate(); err != nil {
-		return SizedResult{}, err
-	}
 	if segments < 2 {
 		return SizedResult{}, fmt.Errorf("mptcp: segments %d must be >= 2 for two subflows", segments)
 	}
-	simulator := sim.New()
 	half := segments / 2
 	sizes := [2]int64{half, segments - half}
-	conns := make([]*tcp.Conn, 2)
-	sharedDown, sharedUp := dataset.BuildSharedCell(simulator, base.Operator)
-	for i := 0; i < 2; i++ {
-		sc := base
-		sc.Seed = base.Seed*7919 + int64(i)*104729
-		path, err := dataset.BuildSubflowPath(simulator, sc, sharedDown, sharedUp)
-		if err != nil {
-			return SizedResult{}, err
-		}
-		conn, err := tcp.New(simulator, path, sc.TCP, trace.Nop{})
-		if err != nil {
-			return SizedResult{}, err
-		}
-		if err := conn.StartSized(sizes[i], base.FlowDuration); err != nil {
-			return SizedResult{}, err
-		}
-		conns[i] = conn
+	flows := make([]dataset.Flow, 2)
+	for i := range flows {
+		flows[i] = dataset.Flow{Scenario: subflow(base, i), Segments: sizes[i]}
 	}
-	simulator.RunUntil(base.FlowDuration)
+	conns, err := dataset.RunContended(flows)
+	if err != nil {
+		return SizedResult{}, err
+	}
 
 	out := SizedResult{Segments: segments, Completed: true}
 	for i, conn := range conns {

@@ -63,9 +63,3 @@ func NewBottleneck(simulator *sim.Simulator, cfg BottleneckConfig) (*Bottleneck,
 func (b *Bottleneck) FlowPath(fwd, rev Sender) *Path {
 	return NewPath(NewChain(fwd, b.Down), NewChain(rev, b.Up))
 }
-
-// Stats returns the shared stages' per-direction counters; queue drops here
-// are contention overflow, not channel loss.
-func (b *Bottleneck) Stats() (down, up LinkStats) {
-	return b.Down.Stats(), b.Up.Stats()
-}

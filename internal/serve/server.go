@@ -461,30 +461,15 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
-	var sp *tracing.Span
-	if meta.tr != nil {
-		sp = meta.tr.StartSpan(meta.root.ID(), "flow", sc.ID)
-	}
-	var ent dataset.CachedFlow
-	var shared bool
-	if s.cfg.Cache != nil {
-		ent, shared, err = s.cfg.Cache.GetOrCompute(sc, func() (dataset.CachedFlow, error) {
-			m, stats, err := dataset.RunFlowMetrics(sc)
-			return dataset.CachedFlow{Metrics: m, Stats: stats}, err
-		})
-	} else {
-		ent.Metrics, ent.Stats, err = dataset.RunFlowMetrics(sc)
-	}
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.SetAttr("cached", strconv.FormatBool(shared))
-		sp.End()
-	}
+	sp := meta.tr.StartSpan(meta.root.ID(), "flow", sc.ID) // nil when tracing is off
+	ent, shared, err := s.cfg.Cache.GetOrRun(sc)
+	sp.SetAttr("cached", strconv.FormatBool(shared))
 	if err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.End()
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
+	sp.End()
 	return Event{Event: "result", Status: "ok", Flow: &ent, Cached: shared}
 }
 
@@ -535,69 +520,42 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var fsp *tracing.Span
-			if meta.tr != nil {
-				fsp = meta.tr.StartSpan(meta.root.ID(), "flow", j.Scenario.ID)
-				fsp.SetAttr("index", strconv.Itoa(j.Index))
-				fsp.SetAttr("operator", j.Row.Operator.Name)
-			}
-			var ent dataset.CachedFlow
-			var hit bool
-			var err error
+			// Spans are nil-safe: with tracing off every span below is nil.
+			fsp := meta.tr.StartSpan(meta.root.ID(), "flow", j.Scenario.ID)
+			fsp.SetAttr("index", strconv.Itoa(j.Index))
+			fsp.SetAttr("operator", j.Row.Operator.Name)
+			// The cache span exists only when a cache does.
+			computeParent := fsp
+			var csp *tracing.Span
 			if s.cfg.Cache != nil {
-				var csp *tracing.Span
-				if fsp != nil {
-					csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
-				}
-				ent, hit, err = s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
-					var ksp *tracing.Span
-					if fsp != nil {
-						ksp = meta.tr.StartSpan(csp.ID(), "compute", j.Scenario.ID)
-					}
-					full, err := dataset.RunFlowFull(j.Scenario)
-					if ksp != nil {
-						if err == nil && full.Telemetry != nil {
-							ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
-						}
-						ksp.End()
-					}
-					return full, err
-				})
-				if csp != nil {
-					csp.SetAttr("hit", strconv.FormatBool(hit))
-					csp.End()
-				}
-			} else {
-				var ksp *tracing.Span
-				if fsp != nil {
-					ksp = meta.tr.StartSpan(fsp.ID(), "compute", j.Scenario.ID)
-				}
-				ent, err = dataset.RunFlowFull(j.Scenario)
-				if ksp != nil {
-					if err == nil && ent.Telemetry != nil {
-						ksp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
-					}
-					ksp.End()
-				}
+				csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
+				computeParent = csp
 			}
-			if err != nil {
-				if fsp != nil {
-					fsp.SetAttr("error", err.Error())
-					fsp.End()
+			ent, hit, err := s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
+				ksp := meta.tr.StartSpan(computeParent.ID(), "compute", j.Scenario.ID)
+				full, err := dataset.RunFlowFull(j.Scenario)
+				if err == nil && full.Telemetry != nil {
+					ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
 				}
+				ksp.End()
+				return full, err
+			})
+			csp.SetAttr("hit", strconv.FormatBool(hit))
+			csp.End()
+			if err != nil {
+				fsp.SetAttr("error", err.Error())
+				fsp.End()
 				errs[j.Index-start] = fmt.Errorf("flow %s: %w", j.Scenario.ID, err)
 				return
 			}
 			if hit {
 				hits.Add(1)
 			}
-			if fsp != nil {
-				fsp.SetAttr("cached", strconv.FormatBool(hit))
-				if ent.Telemetry != nil {
-					fsp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
-				}
-				fsp.End()
+			fsp.SetAttr("cached", strconv.FormatBool(hit))
+			if ent.Telemetry != nil {
+				fsp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
 			}
+			fsp.End()
 			res.Flows[j.Index-start] = UnitFlow{Index: j.Index, Flow: ent, Cached: hit}
 			st.tryEmit(Event{Event: "flows", Done: int(done.Add(1)), Total: end - start})
 		}()
