@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,8 +106,8 @@ func TestRunWritesMetricsReport(t *testing.T) {
 		t.Fatalf("metrics file missing: %v", err)
 	}
 	defer f.Close()
-	rep, err := telemetry.ReadReport(f)
-	if err != nil {
+	rep := &telemetry.Report{}
+	if err := json.NewDecoder(f).Decode(rep); err != nil {
 		t.Fatalf("metrics file unparseable: %v", err)
 	}
 	if rep.Tool != "hsrbench" || rep.Version == "" || rep.Seed != 1 {

@@ -117,7 +117,7 @@ func TestRunContendedTelemetryByCC(t *testing.T) {
 	for _, f := range flows {
 		camp.AddFlow(f.Scenario.Telemetry)
 	}
-	_, _, tc, _, _ := camp.Counters()
+	tc := camp.Snapshot().TCP
 	if len(tc.ByCC) != len(tcp.Variants()) {
 		t.Fatalf("ByCC has %d variants, want %d: %v", len(tc.ByCC), len(tcp.Variants()), tc.ByCC)
 	}

@@ -140,22 +140,24 @@ func TestCampaignTelemetryReproducibleAcrossParallelism(t *testing.T) {
 	}
 	seq := run(1)
 	par := run(8)
-	n1, k1, t1, net1, f1 := seq.Counters()
-	n8, k8, t8, net8, f8 := par.Counters()
-	if n1 != n8 {
-		t.Fatalf("flow counts differ: %d vs %d", n1, n8)
+	s1, s8 := seq.Snapshot(), par.Snapshot()
+	if s1.FlowCount != s8.FlowCount {
+		t.Fatalf("flow counts differ: %d vs %d", s1.FlowCount, s8.FlowCount)
 	}
-	if k1 != k8 {
-		t.Errorf("kernel counters differ:\njobs=1: %+v\njobs=8: %+v", k1, k8)
+	if s1.Kernel != s8.Kernel {
+		t.Errorf("kernel counters differ:\njobs=1: %+v\njobs=8: %+v", s1.Kernel, s8.Kernel)
 	}
-	if !reflect.DeepEqual(t1, t8) {
-		t.Errorf("tcp counters differ:\njobs=1: %+v\njobs=8: %+v", t1, t8)
+	if !reflect.DeepEqual(s1.TCP, s8.TCP) {
+		t.Errorf("tcp counters differ:\njobs=1: %+v\njobs=8: %+v", s1.TCP, s8.TCP)
 	}
-	if net1 != net8 {
-		t.Errorf("net counters differ:\njobs=1: %+v\njobs=8: %+v", net1, net8)
+	if s1.Net != s8.Net {
+		t.Errorf("net counters differ:\njobs=1: %+v\njobs=8: %+v", s1.Net, s8.Net)
 	}
-	if f1 != f8 {
-		t.Errorf("fault counters differ:\njobs=1: %+v\njobs=8: %+v", f1, f8)
+	if s1.Channel != s8.Channel {
+		t.Errorf("channel counters differ:\njobs=1: %+v\njobs=8: %+v", s1.Channel, s8.Channel)
+	}
+	if s1.Faults != s8.Faults {
+		t.Errorf("fault counters differ:\njobs=1: %+v\njobs=8: %+v", s1.Faults, s8.Faults)
 	}
 }
 

@@ -40,14 +40,9 @@ func reference(t *testing.T, cfg dataset.CampaignConfig) ([]byte, *dataset.Campa
 // countersJSON marshals a campaign's deterministic counter sections.
 func countersJSON(t *testing.T, c *telemetry.Campaign) []byte {
 	t.Helper()
-	flows, kernel, tcp, net, faults := c.Counters()
-	raw, err := json.Marshal(struct {
-		Flows  int64            `json:"flows"`
-		Kernel telemetry.Kernel `json:"kernel"`
-		TCP    telemetry.TCP    `json:"tcp"`
-		Net    telemetry.Net    `json:"net"`
-		Faults telemetry.Faults `json:"faults"`
-	}{flows, kernel, tcp, net, faults})
+	s := c.Snapshot()
+	s.WallNS = 0
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("marshal counters: %v", err)
 	}

@@ -26,9 +26,10 @@ func MetricsReport(tool string, seed int64, camp *telemetry.Campaign, cache *tel
 		cc := *cache
 		rep.Cache = &cc
 	}
+	var snap *telemetry.Campaign
 	if camp != nil {
-		if n, _, _, _, _ := camp.Counters(); n > 0 {
-			rep.Campaign = camp
+		if snap = camp.Snapshot(); snap.FlowCount > 0 {
+			rep.Campaign = snap
 		}
 	}
 	for _, r := range results {
@@ -59,9 +60,8 @@ func MetricsReport(tool string, seed int64, camp *telemetry.Campaign, cache *tel
 		Mallocs:         ms.Mallocs,
 		NumGC:           ms.NumGC,
 	}
-	if camp != nil && wall > 0 {
-		_, k, _, _, _ := camp.Counters()
-		rep.Resources.VirtualPerWall = float64(k.VirtualNS) / float64(wall.Nanoseconds())
+	if snap != nil && wall > 0 {
+		rep.Resources.VirtualPerWall = float64(snap.Kernel.VirtualNS) / float64(wall.Nanoseconds())
 	}
 	return rep
 }

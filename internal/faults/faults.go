@@ -12,9 +12,7 @@
 //     the line rate during an episode;
 //   - Schedule.StormOutages expands handoff-storm episodes into extra bearer
 //     outages for cellular.Channel.AddOutages, so injected handoffs carry the
-//     full semantics of real ones (probe loss, ACK loss, delay inflation);
-//   - NewStage wraps any netem.Sender so chained stages (e.g. the MPTCP
-//     shared cell) can be fault-injected too.
+//     full semantics of real ones (probe loss, ACK loss, delay inflation).
 //
 // All randomness is drawn from rngs derived from the flow seed on dedicated
 // sim streams, so the same seed and schedule always produce the same packet

@@ -292,34 +292,6 @@ func TestWrapDelay(t *testing.T) {
 	}
 }
 
-// sinkSender counts deliveries and always succeeds.
-type sinkSender struct{ sent int }
-
-func (s *sinkSender) Send(size int, deliver netem.Handler) (bool, netem.DropKind) {
-	s.sent++
-	return true, 0
-}
-
-func TestStage(t *testing.T) {
-	simulator := sim.New()
-	s := mustParse(t, "blackout@10s+2s")
-	inner := &sinkSender{}
-	stage := NewStage(simulator, inner, s, Data, sim.NewRand(1, sim.StreamFaultData))
-
-	if ok, _ := stage.Send(1500, nil); !ok {
-		t.Fatal("send at t=0 should pass")
-	}
-	simulator.Schedule(11*time.Second, func() {
-		if ok, kind := stage.Send(1500, nil); ok || kind != netem.DropChannel {
-			t.Errorf("send inside blackout: ok=%v kind=%v, want channel drop", ok, kind)
-		}
-	})
-	simulator.Run()
-	if inner.sent != 1 {
-		t.Errorf("inner sender saw %d sends, want 1", inner.sent)
-	}
-}
-
 func TestStressSchedule(t *testing.T) {
 	s := Stress(120 * time.Second)
 	if err := s.Validate(); err != nil {

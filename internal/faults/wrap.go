@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/sim"
 )
 
 // lossInjector layers schedule-driven loss over an inner LossModel. The
@@ -75,52 +74,3 @@ func (s *Schedule) WrapDelay(inner netem.DelayModel) netem.DelayModel {
 	}
 	return &delayInjector{inner: inner, s: s}
 }
-
-// Direction selects which side of the schedule a wrapped stage applies.
-type Direction int
-
-// Stage directions.
-const (
-	Data Direction = iota + 1 // downlink: blackouts
-	Ack                       // uplink: blackouts and ACK bursts
-)
-
-// Stage wraps any netem.Sender with schedule-driven loss at the packet's
-// entry epoch, so whole chain stages (the MPTCP shared cell, a backbone
-// segment) can be fault-injected without rebuilding them. Drops are
-// reported synchronously as channel drops, like a Link's own loss model.
-type Stage struct {
-	inner netem.Sender
-	s     *Schedule
-	dir   Direction
-	clock *sim.Simulator
-	rng   *rand.Rand
-}
-
-// NewStage wraps inner with the schedule's dir-side faults.
-func NewStage(simulator *sim.Simulator, inner netem.Sender, s *Schedule, dir Direction, rng *rand.Rand) *Stage {
-	if simulator == nil || inner == nil {
-		panic("faults: NewStage requires a simulator and an inner sender")
-	}
-	if dir != Data && dir != Ack {
-		panic("faults: NewStage with unknown direction")
-	}
-	return &Stage{inner: inner, s: s, dir: dir, clock: simulator, rng: rng}
-}
-
-// Send implements netem.Sender.
-func (st *Stage) Send(size int, deliver netem.Handler) (bool, netem.DropKind) {
-	now := st.clock.Now()
-	var p float64
-	if st.dir == Data {
-		p = st.s.DataLossProb(now, now)
-	} else {
-		p = st.s.AckLossProb(now, now)
-	}
-	if p > 0 && (p >= 1 || st.rng.Float64() < p) {
-		return false, netem.DropChannel
-	}
-	return st.inner.Send(size, deliver)
-}
-
-var _ netem.Sender = (*Stage)(nil)

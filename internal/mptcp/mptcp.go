@@ -162,19 +162,3 @@ func Improvement(multipath, single float64) float64 {
 	}
 	return (multipath - single) / single
 }
-
-// CompareDuplex runs the single-flow baseline and an n-subflow duplex run on
-// the same scenario and returns (single pps, duplex pps, improvement).
-func CompareDuplex(base dataset.Scenario, n int) (single, duplex, improvement float64, err error) {
-	m, _, err := dataset.RunFlowMetrics(base)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	d, err := RunDuplex(base, n)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	single = m.ThroughputPps
-	duplex = d.ThroughputPps
-	return single, duplex, Improvement(duplex, single), nil
-}

@@ -10,6 +10,20 @@ import (
 	"repro/internal/tcp"
 )
 
+// compareDuplex runs the single-flow baseline and an n-subflow duplex run on
+// the same scenario and returns their throughputs (pps).
+func compareDuplex(base dataset.Scenario, n int) (single, duplex float64, err error) {
+	m, _, err := dataset.RunFlowMetrics(base)
+	if err != nil {
+		return 0, 0, err
+	}
+	d, err := RunDuplex(base, n)
+	if err != nil {
+		return 0, 0, err
+	}
+	return m.ThroughputPps, d.ThroughputPps, nil
+}
+
 func hsrScenario(t *testing.T, op cellular.Operator, seed int64, d time.Duration) dataset.Scenario {
 	t.Helper()
 	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
@@ -54,9 +68,9 @@ func TestDuplexBeatsSingleOnHSR(t *testing.T) {
 	var single, duplex float64
 	for seed := int64(1); seed <= 3; seed++ {
 		sc := hsrScenario(t, cellular.ChinaUnicom3G, seed, 45*time.Second)
-		s, d, _, err := CompareDuplex(sc, 2)
+		s, d, err := compareDuplex(sc, 2)
 		if err != nil {
-			t.Fatalf("CompareDuplex: %v", err)
+			t.Fatalf("compareDuplex: %v", err)
 		}
 		single += s
 		duplex += d
@@ -166,9 +180,9 @@ func TestTelecomGainsMostFromDuplex(t *testing.T) {
 		var single, duplex float64
 		for seed := int64(1); seed <= 3; seed++ {
 			sc := hsrScenario(t, op, seed, 45*time.Second)
-			s, d, _, err := CompareDuplex(sc, 2)
+			s, d, err := compareDuplex(sc, 2)
 			if err != nil {
-				t.Fatalf("CompareDuplex(%s): %v", op.Name, err)
+				t.Fatalf("compareDuplex(%s): %v", op.Name, err)
 			}
 			single += s
 			duplex += d

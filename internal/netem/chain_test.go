@@ -129,29 +129,6 @@ func TestTransitLossFuncNilPanics(t *testing.T) {
 	NewTransitLossFunc(nil, sim.NewRand(1, sim.StreamDataLoss))
 }
 
-func TestLossFuncMaxOfBothEpochs(t *testing.T) {
-	rng := sim.NewRand(4, sim.StreamDataLoss)
-	outage := func(now time.Duration) float64 {
-		if now >= time.Second && now < 2*time.Second {
-			return 1
-		}
-		return 0
-	}
-	m := NewLossFunc(outage, rng)
-	// Sent clean, arrives into the outage: must drop (max of both epochs).
-	if !m.Drop(900*time.Millisecond, 1100*time.Millisecond) {
-		t.Error("packet arriving into outage survived")
-	}
-	// Sent in the outage, arrives after: must drop too.
-	if !m.Drop(1900*time.Millisecond, 2100*time.Millisecond) {
-		t.Error("packet sent in outage survived")
-	}
-	// Clean on both ends.
-	if m.Drop(2100*time.Millisecond, 2200*time.Millisecond) {
-		t.Error("clean packet dropped")
-	}
-}
-
 func TestLinkDecidesLossAtArrivalEpoch(t *testing.T) {
 	// End-to-end: a packet sent just before an outage but arriving inside
 	// it is dropped by the link.
@@ -165,7 +142,9 @@ func TestLinkDecidesLossAtArrivalEpoch(t *testing.T) {
 	}
 	l := NewLink(s, LinkConfig{
 		Delay: FixedDelay(200 * time.Millisecond),
-		Loss:  NewLossFunc(outage, rng),
+		Loss: NewTransitLossFunc(func(_, arrival time.Duration) float64 {
+			return outage(arrival)
+		}, rng),
 	})
 	s.Schedule(900*time.Millisecond, func() {
 		ok, kind := l.Send(100, HandlerFunc(func() { t.Error("straddling packet delivered") }))

@@ -61,32 +61,3 @@ func TestBernoulliPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
-
-func TestLossFuncUsesTime(t *testing.T) {
-	rng := sim.NewRand(5, sim.StreamDataLoss)
-	outage := func(now time.Duration) float64 {
-		if now >= time.Second && now < 2*time.Second {
-			return 1
-		}
-		return 0
-	}
-	m := NewLossFunc(outage, rng)
-	if m.Drop(500*time.Millisecond, 500*time.Millisecond) {
-		t.Error("dropped outside the outage window")
-	}
-	if !m.Drop(1500*time.Millisecond, 1500*time.Millisecond) {
-		t.Error("did not drop inside the outage window")
-	}
-	if m.Drop(2*time.Second, 2*time.Second) {
-		t.Error("dropped after the outage window")
-	}
-}
-
-func TestLossFuncNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewLossFunc(nil) did not panic")
-		}
-	}()
-	NewLossFunc(nil, sim.NewRand(1, sim.StreamDataLoss))
-}

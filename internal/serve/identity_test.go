@@ -66,20 +66,15 @@ func serveCampaignReport(t *testing.T, srv *Server) (*telemetry.Report, time.Dur
 	return last.Report, elapsed
 }
 
-// campaignJSON marshals a report's deterministic campaign sections — the
-// Counters() contract: everything except the wall-clock resource fields,
-// which are host measurements by design (like task wall times and process
+// campaignJSON marshals a report's deterministic campaign sections:
+// everything except the wall-clock resource fields, which are host
+// measurements by design (like task wall times and process
 // resources elsewhere in the report).
 func campaignJSON(t *testing.T, rep *telemetry.Report) []byte {
 	t.Helper()
-	flows, kernel, tcp, net, faults := rep.Campaign.Counters()
-	raw, err := json.Marshal(struct {
-		Flows  int64            `json:"flows"`
-		Kernel telemetry.Kernel `json:"kernel"`
-		TCP    telemetry.TCP    `json:"tcp"`
-		Net    telemetry.Net    `json:"net"`
-		Faults telemetry.Faults `json:"faults"`
-	}{flows, kernel, tcp, net, faults})
+	s := rep.Campaign.Snapshot()
+	s.WallNS = 0
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("marshal campaign: %v", err)
 	}

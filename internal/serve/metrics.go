@@ -40,16 +40,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.FleetCounters != nil {
 		f := s.cfg.FleetCounters()
 		x.Comment("distributed campaign fleet")
-		x.Fleet(&f)
+		x.Counters(&f)
 	}
 	if s.cfg.Cache != nil {
 		cc := s.cfg.Cache.Counters()
 		x.Comment("shared flow-result cache")
-		x.Cache(&cc)
+		x.Counters(&cc)
 	}
-	if n, _, _, _, _ := s.agg.Counters(); n > 0 {
+	// One snapshot, so a scrape racing a job's merge never mixes sections
+	// from before and after it.
+	if agg := s.agg.Snapshot(); agg.FlowCount > 0 {
 		x.Comment("campaign counters aggregated over all jobs")
-		x.Campaign(s.agg)
+		x.Counters(agg)
 	}
 	if err := x.Flush(); err != nil {
 		s.cfg.Log.Warn("metrics write failed", "err", err)

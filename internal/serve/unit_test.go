@@ -12,18 +12,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// countersJSON marshals a campaign's deterministic counter sections (the
-// Counters() contract — everything except wall-clock resource fields).
+// countersJSON marshals a campaign's deterministic counter sections
+// (everything except wall-clock resource fields).
 func countersJSON(t *testing.T, c *telemetry.Campaign) []byte {
 	t.Helper()
-	flows, kernel, tcp, net, faults := c.Counters()
-	raw, err := json.Marshal(struct {
-		Flows  int64            `json:"flows"`
-		Kernel telemetry.Kernel `json:"kernel"`
-		TCP    telemetry.TCP    `json:"tcp"`
-		Net    telemetry.Net    `json:"net"`
-		Faults telemetry.Faults `json:"faults"`
-	}{flows, kernel, tcp, net, faults})
+	s := c.Snapshot()
+	s.WallNS = 0
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("marshal campaign counters: %v", err)
 	}
@@ -33,7 +28,7 @@ func countersJSON(t *testing.T, c *telemetry.Campaign) []byte {
 // TestUnitJobByteIdentity runs a campaign as unit jobs against a worker
 // server and replays the shipped flows in plan order: the reassembled
 // telemetry counters must be byte-identical to a local RunCampaign with
-// telemetry attached (the Counters() contract — wall time is a host
+// telemetry attached (wall time excluded — it is a host
 // measurement), and the metrics must match flow for flow. This is the
 // worker half of the distributed contract; internal/dist tests the
 // coordinator.

@@ -111,8 +111,8 @@ func hostileConn(t *testing.T, cfg Config, seed int64, dataLoss, ackLoss float64
 // traces to agree event for event, including every recorded cwnd.
 func TestRenoBehindInterfaceMatchesReference(t *testing.T) {
 	corpus := []struct {
-		seed               int64
-		dataLoss, ackLoss  float64
+		seed              int64
+		dataLoss, ackLoss float64
 	}{
 		{1, 0, 0},
 		{2, 0.05, 0},
@@ -234,19 +234,6 @@ func TestControllerInvariantsFuzzed(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestParseVariant covers the round trip between names and enum values.
-func TestParseVariant(t *testing.T) {
-	for _, v := range Variants() {
-		got, err := ParseVariant(v.String())
-		if err != nil || got != v {
-			t.Fatalf("ParseVariant(%q) = %v, %v", v.String(), got, err)
-		}
-	}
-	if _, err := ParseVariant("vegas"); err == nil {
-		t.Fatal("ParseVariant accepted an unknown variant")
 	}
 }
 

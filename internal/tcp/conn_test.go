@@ -39,6 +39,13 @@ func (h *testHarness) dataLossProb(now time.Duration) float64 {
 	return 0
 }
 
+// dataLoss gives a data packet the worse of the harness's conditions at its
+// send and arrival epochs (dataLossProb counts both calls, in that order).
+func (h *testHarness) dataLoss(sent, arrival time.Duration) float64 {
+	p := h.dataLossProb(sent)
+	return max(p, h.dataLossProb(arrival))
+}
+
 func (h *testHarness) ackLossProb(now time.Duration) float64 {
 	for _, w := range h.ackOutages {
 		if now >= w.from && now < w.to {
@@ -59,7 +66,7 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	rng := sim.NewRand(1, sim.StreamDataLoss)
 	fwd := netem.NewLink(h.sim, netem.LinkConfig{
 		Delay: netem.FixedDelay(30 * time.Millisecond),
-		Loss:  netem.NewLossFunc(h.dataLossProb, rng),
+		Loss:  netem.NewTransitLossFunc(h.dataLoss, rng),
 	})
 	// ACK loss applies at the send epoch only (the radio sits at the start
 	// of an ACK's journey), matching the cellular channel's semantics.

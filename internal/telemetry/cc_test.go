@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,11 @@ func ccStats(scale int64) *CCStats {
 	return s
 }
 
+// mergeTCP folds src into dst through the TCP section's field table.
+func mergeTCP(dst, src *TCP) {
+	schemaOf(reflect.TypeOf(TCP{}), "tcp").merge(elem(dst), elem(src))
+}
+
 func TestTCPByCCMergeExactAndCommutative(t *testing.T) {
 	mk := func() (TCP, TCP) {
 		var a, b TCP
@@ -33,9 +39,9 @@ func TestTCPByCCMergeExactAndCommutative(t *testing.T) {
 		return a, b
 	}
 	ab, x := mk()
-	ab.Merge(&x)
+	mergeTCP(&ab, &x)
 	y, ba := mk()
-	ba.Merge(&y)
+	mergeTCP(&ba, &y)
 	if !reflect.DeepEqual(ab.ByCC, ba.ByCC) {
 		t.Fatalf("ByCC merge is not commutative:\nab: %+v\nba: %+v", ab.ByCC, ba.ByCC)
 	}
@@ -54,7 +60,7 @@ func TestTCPByCCMergeExactAndCommutative(t *testing.T) {
 func TestTCPByCCMergeDoesNotAliasSource(t *testing.T) {
 	var dst, src TCP
 	src.ByCC = map[string]*CCStats{"reno": ccStats(1)}
-	dst.Merge(&src)
+	mergeTCP(&dst, &src)
 	dst.ByCC["reno"].Flows += 100
 	dst.CC("newreno").Flows++
 	if src.ByCC["reno"].Flows != 1 {
@@ -71,10 +77,10 @@ func TestCampaignCountersCloneByCC(t *testing.T) {
 	fl.TCP.CC("bbr").Flows = 1
 	fl.TCP.CC("bbr").DataSent = 42
 	camp.AddFlow(fl)
-	_, _, tc, _, _ := camp.Counters()
+	tc := camp.Snapshot().TCP
 	tc.ByCC["bbr"].DataSent = 0
 	tc.CC("reno")
-	_, _, tc2, _, _ := camp.Counters()
+	tc2 := camp.Snapshot().TCP
 	if tc2.ByCC["bbr"].DataSent != 42 {
 		t.Fatal("Counters returned an aliased ByCC map")
 	}
@@ -124,8 +130,8 @@ func TestReportCCRoundTrip(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReport(&buf)
-	if err != nil {
+	got := &Report{}
+	if err := json.NewDecoder(&buf).Decode(got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r.CC, got.CC) {

@@ -19,7 +19,7 @@ func TestTextExposerLines(t *testing.T) {
 	e.Int("queue_depth", 3)
 	e.Float("virtual_per_wall", 2.5)
 	e.Campaign(camp)
-	e.Cache(&Cache{Hits: 7, Misses: 2, Dedups: 1, Evictions: 4})
+	e.Counters(&Cache{Hits: 7, Misses: 2, Dedups: 1, Evictions: 4})
 	if err := e.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestTextExposerLines(t *testing.T) {
 	e2.Int("queue_depth", 3)
 	e2.Float("virtual_per_wall", 2.5)
 	e2.Campaign(camp)
-	e2.Cache(&Cache{Hits: 7, Misses: 2, Dedups: 1, Evictions: 4})
+	e2.Counters(&Cache{Hits: 7, Misses: 2, Dedups: 1, Evictions: 4})
 	if err := e2.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -133,7 +133,8 @@ func TestCampaignMerge(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	flows, k, tc, _, _ := a.Counters()
+	s := a.Snapshot()
+	flows, k, tc := s.FlowCount, s.Kernel, s.TCP
 	if flows != 3 || k.Events != 60 || tc.Flows != 3 {
 		t.Errorf("merged totals: flows=%d events=%d tcpflows=%d", flows, k.Events, tc.Flows)
 	}
@@ -146,7 +147,7 @@ func TestCampaignMerge(t *testing.T) {
 	// Merging nil and self are no-ops.
 	a.Merge(nil)
 	a.Merge(a)
-	if flows2, _, _, _, _ := a.Counters(); flows2 != 3 {
+	if flows2 := a.Snapshot().FlowCount; flows2 != 3 {
 		t.Errorf("self/nil merge changed totals: %d", flows2)
 	}
 }

@@ -8,7 +8,7 @@ package telemetry
 // byte-identical at any fleet size and under any failure schedule.
 type Fleet struct {
 	// Workers is the configured fleet size (gauge, max-merged).
-	Workers int64 `json:"workers"`
+	Workers int64 `json:"workers" merge:"max"`
 	// Units counts the flow-range work units planned; UnitsDispatched counts
 	// dispatch attempts to remote workers (including retries and hedges);
 	// UnitsCompleted counts units whose result was accepted (exactly once
@@ -33,23 +33,5 @@ type Fleet struct {
 	WorkersLost       int64 `json:"workers_lost"`
 	WorkersReadmitted int64 `json:"workers_readmitted"`
 	// Degraded counts campaigns that lost every worker and finished locally.
-	Degraded int64 `json:"degraded"`
-}
-
-// Merge folds other into f: counters sum, Workers (a gauge) takes the max.
-func (f *Fleet) Merge(other *Fleet) {
-	if other.Workers > f.Workers {
-		f.Workers = other.Workers
-	}
-	f.Units += other.Units
-	f.UnitsDispatched += other.UnitsDispatched
-	f.UnitsCompleted += other.UnitsCompleted
-	f.UnitsLocal += other.UnitsLocal
-	f.Retries += other.Retries
-	f.Reassignments += other.Reassignments
-	f.Hedges += other.Hedges
-	f.DuplicateResults += other.DuplicateResults
-	f.WorkersLost += other.WorkersLost
-	f.WorkersReadmitted += other.WorkersReadmitted
-	f.Degraded += other.Degraded
+	Degraded int64 `json:"degraded" metric:"degraded_campaigns_total"`
 }

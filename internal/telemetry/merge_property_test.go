@@ -29,16 +29,9 @@ import (
 // comparison under arbitrary merge nesting.
 func intSections(t *testing.T, c *Campaign) []byte {
 	t.Helper()
-	flows, k, tcp, n, f := c.Counters()
-	tcp.Cwnd = Dist{} // float accumulator excluded; checked with tolerance
-	doc := struct {
-		Flows  int64
-		Kernel Kernel
-		TCP    TCP
-		Net    Net
-		Faults Faults
-	}{flows, k, tcp, n, f}
-	raw, err := json.Marshal(doc)
+	s := c.Snapshot()
+	s.TCP.Cwnd = Dist{} // float accumulator excluded; checked with tolerance
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -124,7 +117,7 @@ func TestCampaignMergePartitionProperties(t *testing.T) {
 		ref.AddFlow(f)
 	}
 	refInts := intSections(t, ref)
-	_, _, refTCP, _, _ := ref.Counters()
+	refTCP := ref.Snapshot().TCP
 
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -142,7 +135,7 @@ func TestCampaignMergePartitionProperties(t *testing.T) {
 			t.Fatalf("trial %d: integer sections diverged under partition %v:\n%s\nvs\n%s",
 				trial, order, refInts, got)
 		}
-		_, _, gotTCP, _, _ := merged.Counters()
+		gotTCP := merged.Snapshot().TCP
 		if !distClose(&refTCP.Cwnd, &gotTCP.Cwnd) {
 			t.Fatalf("trial %d: cwnd distribution outside rounding slack: ref n=%d mean=%v, got n=%d mean=%v",
 				trial, refTCP.Cwnd.N(), refTCP.Cwnd.Mean(), gotTCP.Cwnd.N(), gotTCP.Cwnd.Mean())

@@ -81,7 +81,7 @@ type CCGroup struct {
 	Label      string `json:"label"`
 	// JainIndex is Jain's fairness index over the group's per-flow
 	// throughputs: 1 is perfectly fair, 1/n maximally unfair.
-	JainIndex float64 `json:"jain_index"`
+	JainIndex float64        `json:"jain_index"`
 	Flows     []CCFlowResult `json:"flows"`
 }
 
@@ -105,13 +105,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("telemetry: encode report: %w", err)
 	}
 	return bw.Flush()
-}
-
-// ReadReport parses a report written by WriteJSON (tests and tooling).
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("telemetry: decode report: %w", err)
-	}
-	return &r, nil
 }

@@ -159,7 +159,7 @@ type Kernel struct {
 	PoolHits   int64 `json:"pool_hits"`
 	PoolMisses int64 `json:"pool_misses"`
 	// MaxPending is the peak number of scheduled, not-yet-fired events.
-	MaxPending int64 `json:"max_pending"`
+	MaxPending int64 `json:"max_pending" merge:"max"`
 	// Cascades counts events redistributed from a coarse wheel level toward
 	// the finest one as virtual time advanced past their slot.
 	Cascades int64 `json:"cascades"`
@@ -172,8 +172,8 @@ type Kernel struct {
 	BatchEvents int64 `json:"batch_events"`
 	// MaxBatch is the largest single dispatch batch; MaxSlot the largest
 	// single wheel-slot occupancy observed while draining.
-	MaxBatch         int64 `json:"max_batch"`
-	MaxSlot          int64 `json:"max_slot_occupancy"`
+	MaxBatch         int64 `json:"max_batch" merge:"max"`
+	MaxSlot          int64 `json:"max_slot_occupancy" merge:"max"`
 	TimerStops       int64 `json:"timer_stops"`
 	TimerReschedules int64 `json:"timer_reschedules"`
 	// VirtualNS is the total virtual time simulated, in nanoseconds.
@@ -204,31 +204,6 @@ func (k *Kernel) BudgetHeadroom() float64 {
 		return 0
 	}
 	return h
-}
-
-// Merge folds other into k: counters sum, the Max* gauges take the maximum.
-func (k *Kernel) Merge(other *Kernel) {
-	k.Events += other.Events
-	k.Scheduled += other.Scheduled
-	k.PoolHits += other.PoolHits
-	k.PoolMisses += other.PoolMisses
-	if other.MaxPending > k.MaxPending {
-		k.MaxPending = other.MaxPending
-	}
-	k.Cascades += other.Cascades
-	k.RearmsInPlace += other.RearmsInPlace
-	k.Batches += other.Batches
-	k.BatchEvents += other.BatchEvents
-	if other.MaxBatch > k.MaxBatch {
-		k.MaxBatch = other.MaxBatch
-	}
-	if other.MaxSlot > k.MaxSlot {
-		k.MaxSlot = other.MaxSlot
-	}
-	k.TimerStops += other.TimerStops
-	k.TimerReschedules += other.TimerReschedules
-	k.VirtualNS += other.VirtualNS
-	k.BudgetEvents += other.BudgetEvents
 }
 
 // MarshalJSON adds the derived pool_hit_rate and budget_headroom fields to
@@ -274,7 +249,7 @@ type TCP struct {
 	// CwndHist buckets the same samples; BackoffHist buckets the backoff
 	// exponent observed at each RTO expiration.
 	Cwnd        Dist `json:"cwnd"`
-	CwndHist    Hist `json:"cwnd_hist"`
+	CwndHist    Hist `json:"cwnd_hist" metric:"cwnd_samples_total"`
 	BackoffHist Hist `json:"backoff_hist"`
 
 	// ByCC breaks the headline counters down by congestion-control variant
@@ -283,7 +258,7 @@ type TCP struct {
 	// merges order-independently and survives JSON round trips bit for
 	// bit, which keeps mixed-CC campaigns byte-identical at any -jobs or
 	// worker count. Nil until the first flow reports a variant.
-	ByCC map[string]*CCStats `json:"by_cc,omitempty"`
+	ByCC map[string]*CCStats `json:"by_cc,omitempty" label:"cc"`
 }
 
 // CCStats is the per-congestion-control slice of the TCP section: the
@@ -300,21 +275,7 @@ type CCStats struct {
 	// CwndHist buckets this variant's per-ACK window samples (the same
 	// bounds as TCP.CwndHist), so variant window shapes are comparable in
 	// one report.
-	CwndHist Hist `json:"cwnd_hist"`
-}
-
-// Merge folds other into s. Integer adds and exact histogram adds only, so
-// merge order never changes the result.
-func (s *CCStats) Merge(other *CCStats) {
-	s.Flows += other.Flows
-	s.DataSent += other.DataSent
-	s.Retransmissions += other.Retransmissions
-	s.UniqueDelivered += other.UniqueDelivered
-	s.Timeouts += other.Timeouts
-	s.FastRetransmits += other.FastRetransmits
-	s.SpuriousRecoveries += other.SpuriousRecoveries
-	s.RecoveryPhases += other.RecoveryPhases
-	s.CwndHist.Merge(&other.CwndHist)
+	CwndHist Hist `json:"cwnd_hist" metric:"cwnd_samples_total"`
 }
 
 // CC returns the named per-variant slice, creating it (with the standard
@@ -331,66 +292,12 @@ func (t *TCP) CC(name string) *CCStats {
 	return s
 }
 
-// cloneCCStats deep-copies one per-variant slice.
-func cloneCCStats(s *CCStats) *CCStats {
-	cp := *s
-	cp.CwndHist = cloneHist(s.CwndHist)
-	return &cp
-}
-
-// cloneByCC deep-copies a per-variant breakdown (nil stays nil).
-func cloneByCC(m map[string]*CCStats) map[string]*CCStats {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]*CCStats, len(m))
-	for name, s := range m {
-		out[name] = cloneCCStats(s)
-	}
-	return out
-}
-
 // NewTCP returns a TCP metrics block with the standard cwnd and backoff
 // histogram bounds installed.
 func NewTCP() *TCP {
 	return &TCP{
 		CwndHist:    NewHist(1, 2, 4, 8, 16, 32, 64, 128),
 		BackoffHist: NewHist(0, 1, 2, 3, 4, 5, 6),
-	}
-}
-
-// Merge folds other into t.
-func (t *TCP) Merge(other *TCP) {
-	t.Flows += other.Flows
-	t.DataSent += other.DataSent
-	t.Retransmissions += other.Retransmissions
-	t.DataDropped += other.DataDropped
-	t.UniqueDelivered += other.UniqueDelivered
-	t.DupDelivered += other.DupDelivered
-	t.AcksSent += other.AcksSent
-	t.AcksReceived += other.AcksReceived
-	t.AcksDropped += other.AcksDropped
-	t.Timeouts += other.Timeouts
-	t.FastRetransmits += other.FastRetransmits
-	t.SpuriousRecoveries += other.SpuriousRecoveries
-	t.RecoveryPhases += other.RecoveryPhases
-	t.RecoveryNS += other.RecoveryNS
-	t.RecoveryRetransmits += other.RecoveryRetransmits
-	t.RecoveryRetxDrops += other.RecoveryRetxDrops
-	t.Cwnd.Merge(&other.Cwnd)
-	t.CwndHist.Merge(&other.CwndHist)
-	t.BackoffHist.Merge(&other.BackoffHist)
-	for name, o := range other.ByCC {
-		// Map iteration order is irrelevant here: every CCStats field
-		// merges by integer addition, which commutes bitwise.
-		if t.ByCC == nil {
-			t.ByCC = make(map[string]*CCStats, len(other.ByCC))
-		}
-		if s := t.ByCC[name]; s != nil {
-			s.Merge(o)
-		} else {
-			t.ByCC[name] = cloneCCStats(o)
-		}
 	}
 }
 
@@ -401,7 +308,7 @@ type LinkCounters struct {
 	Delivered    int64 `json:"delivered"`
 	ChannelDrops int64 `json:"channel_drops"`
 	QueueDrops   int64 `json:"queue_drops"`
-	PeakBacklog  int64 `json:"peak_backlog"` // peak queued packets (max-merged)
+	PeakBacklog  int64 `json:"peak_backlog" merge:"max"` // peak queued packets
 	// VectorBursts/VectorPackets count window fills whose admission and
 	// delay/loss sampling ran through the vectorized burst path
 	// (netem.Link.BeginBurstN) and the packets primed that way.
@@ -409,30 +316,11 @@ type LinkCounters struct {
 	VectorPackets int64 `json:"vector_packets"`
 }
 
-// Merge folds other into c.
-func (c *LinkCounters) Merge(other *LinkCounters) {
-	c.Offered += other.Offered
-	c.Delivered += other.Delivered
-	c.ChannelDrops += other.ChannelDrops
-	c.QueueDrops += other.QueueDrops
-	if other.PeakBacklog > c.PeakBacklog {
-		c.PeakBacklog = other.PeakBacklog
-	}
-	c.VectorBursts += other.VectorBursts
-	c.VectorPackets += other.VectorPackets
-}
-
 // Net groups link telemetry by direction: Data is the downlink (data
 // segments), Ack the uplink (cumulative ACKs).
 type Net struct {
 	Data LinkCounters `json:"data"`
 	Ack  LinkCounters `json:"ack"`
-}
-
-// Merge folds other into n.
-func (n *Net) Merge(other *Net) {
-	n.Data.Merge(&other.Data)
-	n.Ack.Merge(&other.Ack)
 }
 
 // Channel counts the cellular channel's compiled-timeline activity: how
@@ -450,15 +338,6 @@ type Channel struct {
 	CursorFallbacks int64 `json:"cursor_fallbacks"`
 }
 
-// Merge folds other into c.
-func (c *Channel) Merge(other *Channel) {
-	c.Compiles += other.Compiles
-	c.Segments += other.Segments
-	c.CursorQueries += other.CursorQueries
-	c.CursorAdvances += other.CursorAdvances
-	c.CursorFallbacks += other.CursorFallbacks
-}
-
 // Faults counts fault-schedule activity: how many flows carried a
 // non-empty schedule, how many scripted episodes overlapped their windows,
 // how many storm outages were injected, and how many packets the injected
@@ -469,15 +348,6 @@ type Faults struct {
 	StormOutages int64 `json:"storm_outages"`
 	DataDrops    int64 `json:"data_drops"`
 	AckDrops     int64 `json:"ack_drops"`
-}
-
-// Merge folds other into f.
-func (f *Faults) Merge(other *Faults) {
-	f.Schedules += other.Schedules
-	f.Episodes += other.Episodes
-	f.StormOutages += other.StormOutages
-	f.DataDrops += other.DataDrops
-	f.AckDrops += other.AckDrops
 }
 
 // Cache counts flow-result-cache activity: how many flow simulations were
@@ -496,19 +366,8 @@ type Cache struct {
 	Dedups       int64 `json:"dedups"`
 	Errors       int64 `json:"errors"`
 	Evictions    int64 `json:"evictions"`
-	BytesRead    int64 `json:"bytes_read"`
-	BytesWritten int64 `json:"bytes_written"`
-}
-
-// Merge folds other into c.
-func (c *Cache) Merge(other *Cache) {
-	c.Hits += other.Hits
-	c.Misses += other.Misses
-	c.Dedups += other.Dedups
-	c.Errors += other.Errors
-	c.Evictions += other.Evictions
-	c.BytesRead += other.BytesRead
-	c.BytesWritten += other.BytesWritten
+	BytesRead    int64 `json:"bytes_read" metric:"read_bytes_total"`
+	BytesWritten int64 `json:"bytes_written" metric:"written_bytes_total"`
 }
 
 // Flow is the complete telemetry bundle of one simulated flow. Attach one
@@ -547,22 +406,18 @@ type FlowState struct {
 
 // State snapshots the flow bundle into its exact wire form.
 func (f *Flow) State() FlowState {
-	s := FlowState{Flow: *f, CwndState: f.TCP.Cwnd.State()}
-	s.Flow.TCP.CwndHist = cloneHist(f.TCP.CwndHist)
-	s.Flow.TCP.BackoffHist = cloneHist(f.TCP.BackoffHist)
-	s.Flow.TCP.ByCC = cloneByCC(f.TCP.ByCC)
+	s := FlowState{CwndState: f.TCP.Cwnd.State()}
+	flowFields.copy(elem(&s.Flow), elem(f))
 	return s
 }
 
 // Restore reconstructs the flow bundle, replacing the lossy Cwnd summary
 // with the exact accumulator state.
 func (s *FlowState) Restore() *Flow {
-	f := s.Flow
+	f := &Flow{}
+	flowFields.copy(elem(f), elem(&s.Flow))
 	f.TCP.Cwnd = RestoreDist(s.CwndState)
-	f.TCP.CwndHist = cloneHist(s.Flow.TCP.CwndHist)
-	f.TCP.BackoffHist = cloneHist(s.Flow.TCP.BackoffHist)
-	f.TCP.ByCC = cloneByCC(s.Flow.TCP.ByCC)
-	return &f
+	return f
 }
 
 // Campaign aggregates Flow bundles into campaign totals. AddFlow is safe
@@ -570,55 +425,21 @@ func (s *FlowState) Restore() *Flow {
 // additionally require a fixed merge order — dataset.RunCampaign merges in
 // flow order after its parallel phase, which both hsr and stationary
 // campaigns go through, so reports are reproducible at any parallelism.
+// The embedded Flow holds the summed sections; its WallNS sums per-flow
+// host wall time (resource metric, not reproducible; flows running in
+// parallel each contribute fully).
 type Campaign struct {
 	mu sync.Mutex
 
-	FlowCount int64   `json:"flows"`
-	Kernel    Kernel  `json:"kernel"`
-	TCP       TCP     `json:"tcp"`
-	Net       Net     `json:"net"`
-	Channel   Channel `json:"channel"`
-	Faults    Faults  `json:"faults"`
-	// WallNS sums per-flow host wall time (resource metric, not
-	// reproducible; flows running in parallel each contribute fully).
-	WallNS int64 `json:"wall_ns"`
+	FlowCount int64 `json:"flows"`
+	Flow
 }
 
 // NewCampaign returns an empty campaign collector.
 func NewCampaign() *Campaign { return &Campaign{} }
 
 // AddFlow merges one flow's telemetry into the campaign totals.
-func (c *Campaign) AddFlow(f *Flow) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.FlowCount++
-	c.Kernel.Merge(&f.Kernel)
-	c.TCP.Merge(&f.TCP)
-	c.Net.Merge(&f.Net)
-	c.Channel.Merge(&f.Channel)
-	c.Faults.Merge(&f.Faults)
-	c.WallNS += f.WallNS
-}
-
-// Counters returns a copy of the deterministic counter sections (everything
-// except the wall-clock resource fields), for reproducibility checks.
-func (c *Campaign) Counters() (int64, Kernel, TCP, Net, Faults) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.TCP
-	t.CwndHist = cloneHist(c.TCP.CwndHist)
-	t.BackoffHist = cloneHist(c.TCP.BackoffHist)
-	t.ByCC = cloneByCC(c.TCP.ByCC)
-	return c.FlowCount, c.Kernel, t, c.Net, c.Faults
-}
-
-// ChannelCounters returns a copy of the campaign's channel-timeline section
-// (deterministic, like the Counters sections).
-func (c *Campaign) ChannelCounters() Channel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Channel
-}
+func (c *Campaign) AddFlow(f *Flow) { c.add(1, f) }
 
 // Merge folds another campaign's totals into c, so a long-running service
 // can aggregate per-job campaigns into a process-wide total. Like AddFlow,
@@ -627,57 +448,26 @@ func (c *Campaign) Merge(other *Campaign) {
 	if other == nil || other == c {
 		return
 	}
-	// Snapshot other under its own lock first: locking both at once could
+	// Copy other under its own lock first: locking both at once could
 	// deadlock if two campaigns ever merged into each other concurrently.
-	snap := other.snapshot()
+	snap := other.Snapshot()
+	c.add(snap.FlowCount, &snap.Flow)
+}
+
+// add folds flows flows' worth of totals into c.
+func (c *Campaign) add(flows int64, f *Flow) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.FlowCount += snap.FlowCount
-	c.Kernel.Merge(&snap.Kernel)
-	c.TCP.Merge(&snap.TCP)
-	c.Net.Merge(&snap.Net)
-	c.Channel.Merge(&snap.Channel)
-	c.Faults.Merge(&snap.Faults)
-	c.WallNS += snap.WallNS
+	c.FlowCount += flows
+	flowFields.merge(elem(&c.Flow), elem(f))
 }
 
-// campaignSnapshot is a self-contained copy of a campaign's aggregate
-// fields (no lock, unlike Campaign itself).
-type campaignSnapshot struct {
-	FlowCount int64
-	Kernel    Kernel
-	TCP       TCP
-	Net       Net
-	Channel   Channel
-	Faults    Faults
-	WallNS    int64
-}
-
-// snapshot returns a locked, self-contained copy of the campaign's
-// aggregate fields (histogram storage is deep-copied: a plain struct copy
-// would share its count slices with the live campaign).
-func (c *Campaign) snapshot() campaignSnapshot {
+// Snapshot returns a deep copy of the campaign taken under one lock, so
+// every section of it reflects the same set of merged flows.
+func (c *Campaign) Snapshot() *Campaign {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snap := campaignSnapshot{
-		FlowCount: c.FlowCount,
-		Kernel:    c.Kernel,
-		TCP:       c.TCP,
-		Net:       c.Net,
-		Channel:   c.Channel,
-		Faults:    c.Faults,
-		WallNS:    c.WallNS,
-	}
-	snap.TCP.CwndHist = cloneHist(c.TCP.CwndHist)
-	snap.TCP.BackoffHist = cloneHist(c.TCP.BackoffHist)
-	snap.TCP.ByCC = cloneByCC(c.TCP.ByCC)
-	return snap
-}
-
-// cloneHist deep-copies a histogram's storage.
-func cloneHist(h Hist) Hist {
-	return Hist{
-		Bounds: append([]float64(nil), h.Bounds...),
-		Counts: append([]int64(nil), h.Counts...),
-	}
+	s := &Campaign{FlowCount: c.FlowCount}
+	flowFields.copy(elem(&s.Flow), elem(&c.Flow))
+	return s
 }
