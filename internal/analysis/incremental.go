@@ -286,6 +286,12 @@ func (a *Incremental) pruneSpur(now time.Duration) {
 	a.spurPending = kept
 }
 
+// Events returns how many events the analyzer has accepted since its last
+// Reset: after a complete flow, the length its materialized trace would
+// have, so a caller that re-runs the flow into a trace.FlowTrace can
+// reserve exactly that much.
+func (a *Incremental) Events() int { return a.evIdx }
+
 // Finish closes the flow and returns its metrics — a fresh FlowMetrics that
 // owns all of its memory, so the analyzer can be Reset or Released
 // immediately. It returns the first validation error the stream produced,

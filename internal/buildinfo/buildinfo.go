@@ -6,19 +6,24 @@ package buildinfo
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 )
 
 // Version returns the best version identifier available from the embedded
 // build info: the module version when the binary was built from a tagged
 // module, otherwise the VCS revision (suffixed with "+dirty" for modified
-// trees), otherwise "devel".
-func Version() string {
+// trees), otherwise "devel". The build info cannot change while the binary
+// runs, so it is parsed once; cache opens, job results and /metrics
+// scrapes then read the stored string.
+func Version() string { return version() }
+
+var version = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "devel"
 	}
 	return versionFrom(bi)
-}
+})
 
 // versionFrom extracts the identifier from parsed build info (split out so
 // tests can feed synthetic values).

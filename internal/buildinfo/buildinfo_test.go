@@ -12,6 +12,16 @@ func TestVersionNonEmpty(t *testing.T) {
 	}
 }
 
+func TestVersionMemoized(t *testing.T) {
+	first := Version()
+	if again := Version(); again != first {
+		t.Fatalf("Version changed between calls: %q then %q", first, again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Version() }); allocs != 0 {
+		t.Fatalf("Version allocates %.1f times per call after the first, want 0", allocs)
+	}
+}
+
 func TestVersionFrom(t *testing.T) {
 	cases := []struct {
 		name string

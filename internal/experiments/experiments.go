@@ -24,7 +24,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -128,21 +127,6 @@ type Context struct {
 	Cfg        Config
 	HSR        *dataset.Campaign
 	Stationary *dataset.Campaign
-
-	fig1Once sync.Once
-	fig1     *Figure1Result
-	fig1Err  error
-}
-
-// Figure1 returns the Context's exemplar cruise-speed flow (the paper's
-// Fig 1 trace), simulating it at most once and caching the result so
-// Figure 2, the window trace, and the benchmarks can reuse the flow trace
-// instead of re-simulating it. Safe for concurrent use.
-func (c *Context) Figure1() (*Figure1Result, error) {
-	c.fig1Once.Do(func() {
-		c.fig1, c.fig1Err = Figure1(c.Cfg)
-	})
-	return c.fig1, c.fig1Err
 }
 
 // NewContext runs the HSR and stationary campaigns for the configuration.
