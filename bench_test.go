@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/netem"
 	"repro/internal/railway"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -358,9 +359,8 @@ func (h *benchHandler) Fire() {
 }
 
 // BenchmarkTimerRescheduleChurn measures the sender.armTimer pattern: one
-// long-lived timer rearmed on every ACK. Reschedule re-slots the timer in
-// place — usually without even moving it between wheel slots — instead of
-// allocating a replacement per rearm.
+// long-lived timer rearmed on every ACK. Reschedule moves the timer within
+// the kernel's heap instead of allocating a replacement per rearm.
 func BenchmarkTimerRescheduleChurn(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -392,8 +392,8 @@ func (d *rescheduleDriver) Fire() {
 }
 
 // BenchmarkCancelHeavy measures the Stop-heavy workload: schedule a far-out
-// timer, cancel it, repeat. Stop unlinks the timer from its wheel slot in
-// O(1), so cancelled events never accumulate.
+// timer, cancel it, repeat. Stop removes the timer from the kernel's heap at
+// once, so cancelled events never accumulate.
 func BenchmarkCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -413,8 +413,9 @@ type nopHandler struct{}
 func (*nopHandler) Fire() {}
 
 // BenchmarkRunBatchDispatch measures dense batched dispatch: rounds of 256
-// events submitted into one wheel tick and drained by RunBatch — the shape a
-// window-sized TCP burst produces. After warmup the path is allocation-free.
+// events submitted into one 2^20 ns tick and drained by RunBatch — the shape
+// a window-sized TCP burst produces. After warmup the path is
+// allocation-free.
 func BenchmarkRunBatchDispatch(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -434,28 +435,41 @@ func BenchmarkRunBatchDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCascadeFarFuture measures coarse-level placement plus cascade
-// cost: each event is scheduled five minutes ahead, so it parks two wheel
-// levels up and is redistributed twice before firing.
-func BenchmarkCascadeFarFuture(b *testing.B) {
+// BenchmarkLinkTrain measures one packet's trip through a link's delivery
+// train, reported per delivered packet: Send (admission, stamp reservation,
+// ring append) plus the delivery (train timer fire, re-arm at the next
+// packet, handler). A 64-packet window circulates, each delivery sending the
+// next packet, so the train stays as deep as a TCP flight. After warmup the
+// path is allocation-free.
+func BenchmarkLinkTrain(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	h := &farHandler{s: s, n: b.N}
+	l := netem.NewLink(s, netem.LinkConfig{Rate: 100e6, Delay: netem.FixedDelay(20 * time.Millisecond)})
+	w := &trainWindow{l: l}
+	const window = 64
+	for i := 0; i < window; i++ {
+		l.Send(1500, w) // grow the ring to the window
+	}
+	s.Run()
+	first := min(window, b.N)
+	w.left = b.N - first
 	b.ResetTimer()
-	s.ScheduleFire(5*time.Minute, h)
+	for i := 0; i < first; i++ {
+		l.Send(1500, w)
+	}
 	s.Run()
 }
 
-// farHandler reschedules itself n times, five virtual minutes out each time.
-type farHandler struct {
-	s    *sim.Simulator
-	n, i int
+// trainWindow sends the next packet on each delivery while sends remain.
+type trainWindow struct {
+	l    *netem.Link
+	left int
 }
 
-func (h *farHandler) Fire() {
-	h.i++
-	if h.i < h.n {
-		h.s.ScheduleFire(5*time.Minute, h)
+func (w *trainWindow) Fire() {
+	if w.left > 0 {
+		w.left--
+		w.l.Send(1500, w)
 	}
 }
 

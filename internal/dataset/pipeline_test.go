@@ -142,9 +142,11 @@ func TestDefaultCampaignPipelineEquivalence(t *testing.T) {
 // TestRunFlowMetricsAllocs is the CI gate on the streaming pipeline's
 // allocation budget: the materialized pipeline costs ~188 allocations per
 // 30-second flow (trace slices included); the pooled streaming path measures
-// 163 now that the endpoints keep their per-segment state in ring buffers
-// instead of maps. The bound leaves a little headroom over the measurement
-// without letting the trace arena (or map churn) creep back in.
+// 105 now that the endpoints keep their per-segment state in ring buffers
+// instead of maps and each link delivers its packets as one train instead
+// of one pooled kernel event per packet. The bound leaves a little headroom
+// over the measurement without letting the trace arena (or map churn) creep
+// back in.
 func TestRunFlowMetricsAllocs(t *testing.T) {
 	sc := hsrScenario(t, cellular.ChinaMobileLTE, 0, 30*time.Second)
 	n := 0
@@ -163,12 +165,12 @@ func TestRunFlowMetricsAllocs(t *testing.T) {
 		run()
 	}
 	avg := testing.AllocsPerRun(20, run)
-	gate := 168.0
+	gate := 109.0
 	if raceEnabled {
 		// The race runtime adds a bounded per-flow overhead (goroutine
 		// shadow stacks and sync-event buffers) on top of the pipeline's own
-		// allocations; the warmed count measures a flat 174/flow.
-		gate = 180.0
+		// allocations; the warmed count measures a flat 118/flow.
+		gate = 122.0
 	}
 	if avg > gate {
 		t.Errorf("RunFlowMetrics allocates %.1f/flow, gate is %.0f (materialized baseline ~188)", avg, gate)

@@ -92,6 +92,15 @@ func (f HandlerFunc) Fire() { f() }
 // radio bearer of cellular networks (the paper's traces show no transport-
 // visible reordering; TCP's dup-ACK machinery would otherwise conflate
 // reordering with loss).
+//
+// Because deliveries are FIFO, a link keeps its in-flight packets as one
+// train: a link-owned power-of-two ring of (arrival, sequence stamp,
+// handler) behind a single kernel timer armed at the head packet. Send
+// reserves each packet's stamp with Simulator.NextSeq, exactly where
+// scheduling a per-packet event would have stamped it, so a delivery fires
+// in the same position among simultaneous events as that event would have.
+// When the timer fires it pops the head, re-arms itself at the next packet
+// and calls the handler.
 type Link struct {
 	simulator *sim.Simulator
 	cfg       LinkConfig
@@ -99,7 +108,11 @@ type Link struct {
 
 	nextFree     time.Duration // when the serializer becomes idle
 	lastDelivery time.Duration // monotone delivery horizon (no reordering)
-	free         *linkEvent    // pooled in-flight delivery events
+
+	train []inflight // ring of in-flight packets; len is a power of two
+	head  int        // ring index of the next packet to deliver
+	n     int        // packets in flight
+	timer *sim.Timer // armed at the head packet while n > 0
 
 	scratch     []burstOutcome // reused vectorized-burst outcome buffer
 	scratchLive int            // primed outcomes not yet consumed by Send
@@ -112,21 +125,54 @@ type burstOutcome struct {
 	kind    DropKind // 0 = delivered
 }
 
-// linkEvent is the pooled in-flight state of one packet: it bumps the
-// delivered counter and hands off to the caller's handler when the emulated
-// arrival time comes.
-type linkEvent struct {
-	l       *Link
+// inflight is one packet of a link's train: when it arrives, its reserved
+// FIFO stamp, and whom to hand it to.
+type inflight struct {
+	at      time.Duration
+	seq     uint64
 	deliver Handler
-	next    *linkEvent
 }
 
-// Fire implements sim.Handler.
-func (e *linkEvent) Fire() {
-	l, deliver := e.l, e.deliver
-	e.deliver = nil
-	e.next = l.free
-	l.free = e
+// minTrain is the ring size a link starts with on its first packet.
+const minTrain = 16
+
+// enqueue appends a surviving packet to the train, arming the timer when
+// the train was empty.
+func (l *Link) enqueue(at time.Duration, deliver Handler) {
+	seq := l.simulator.NextSeq()
+	if l.n == len(l.train) {
+		l.grow()
+	}
+	l.train[(l.head+l.n)&(len(l.train)-1)] = inflight{at: at, seq: seq, deliver: deliver}
+	l.n++
+	if l.n == 1 {
+		l.timer.ArmAt(at, seq)
+	}
+}
+
+// grow doubles the ring, unwrapping it so the head lands at index 0.
+func (l *Link) grow() {
+	next := make([]inflight, max(minTrain, 2*len(l.train)))
+	if l.n > 0 {
+		k := copy(next, l.train[l.head:])
+		copy(next[k:], l.train[:l.head])
+	}
+	l.train = next
+	l.head = 0
+}
+
+// deliverHead is the train timer's callback: it delivers the head packet
+// after re-arming the timer at the next one.
+func (l *Link) deliverHead() {
+	p := &l.train[l.head]
+	deliver := p.deliver
+	p.deliver = nil
+	l.head = (l.head + 1) & (len(l.train) - 1)
+	l.n--
+	if l.n > 0 {
+		next := &l.train[l.head]
+		l.timer.ArmAt(next.at, next.seq)
+	}
 	l.stats.Delivered++
 	deliver.Fire()
 }
@@ -145,7 +191,9 @@ func NewLink(simulator *sim.Simulator, cfg LinkConfig) *Link {
 	if cfg.Loss == nil {
 		cfg.Loss = NoLoss{}
 	}
-	return &Link{simulator: simulator, cfg: cfg}
+	l := &Link{simulator: simulator, cfg: cfg}
+	l.timer = simulator.NewTimer(l.deliverHead)
+	return l
 }
 
 // Stats returns a copy of the link's counters.
@@ -292,114 +340,102 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 
 // Send offers one packet of the burst; semantics match Link.Send. On a
 // vectorized burst it consumes the next precomputed outcome; only the FIFO
-// delivery clamp and event scheduling remain per packet.
+// delivery clamp and the train append remain per packet.
 func (b *Burst) Send(deliver Handler) (bool, DropKind) {
 	if deliver == nil {
 		panic("netem: Send with nil deliver callback")
 	}
+	arrival, kind := b.admit()
+	if kind != 0 {
+		return false, kind
+	}
+	b.l.enqueue(arrival, deliver)
+	return true, 0
+}
+
+// admit decides one packet's fate and accounts it in the link's stats. A
+// surviving packet's FIFO-clamped arrival is returned with kind 0.
+func (b *Burst) admit() (time.Duration, DropKind) {
 	l := b.l
 	now := b.now
 	if l.simulator.Now() != now {
 		panic(fmt.Sprintf("netem: Burst begun at %v used at %v", now, l.simulator.Now()))
 	}
+	if b.outcomes != nil && b.i >= len(b.outcomes) {
+		panic(fmt.Sprintf("netem: vectorized burst of %d overconsumed", len(b.outcomes)))
+	}
+	l.stats.Offered++
+	var arrival time.Duration
 	if b.outcomes != nil {
-		if b.i >= len(b.outcomes) {
-			panic(fmt.Sprintf("netem: vectorized burst of %d overconsumed", len(b.outcomes)))
-		}
 		o := b.outcomes[b.i]
 		b.i++
 		l.scratchLive--
-		l.stats.Offered++
 		switch o.kind {
 		case DropQueue:
 			l.stats.QueueDrops++
-			return false, DropQueue
+			return 0, DropQueue
 		case DropChannel:
 			l.stats.ChannelDrops++
-			return false, DropChannel
+			return 0, DropChannel
 		}
-		arrival := o.arrival
-		if arrival < l.lastDelivery {
-			arrival = l.lastDelivery // preserve FIFO delivery
-		}
-		l.lastDelivery = arrival
-		ev := l.free
-		if ev == nil {
-			ev = &linkEvent{l: l}
-		} else {
-			l.free = ev.next
-			ev.next = nil
-		}
-		ev.deliver = deliver
-		l.simulator.AtFire(arrival, ev)
-		return true, 0
-	}
-	l.stats.Offered++
-
-	departure := now
-	if l.cfg.Rate > 0 {
-		txTime := b.txTime
-		if txTime == 0 {
-			// First packet of the burst: resolve the effective line rate at
-			// this instant. RateScale is a pure function of virtual time, so
-			// one evaluation serves the whole burst.
-			rate := l.cfg.Rate
-			if l.cfg.RateScale != nil {
-				f := l.cfg.RateScale(now)
-				if f < minRateScale {
-					f = minRateScale
+		arrival = o.arrival
+	} else {
+		departure := now
+		if l.cfg.Rate > 0 {
+			txTime := b.txTime
+			if txTime == 0 {
+				// First packet of the burst: resolve the effective line rate at
+				// this instant. RateScale is a pure function of virtual time, so
+				// one evaluation serves the whole burst.
+				rate := l.cfg.Rate
+				if l.cfg.RateScale != nil {
+					f := l.cfg.RateScale(now)
+					if f < minRateScale {
+						f = minRateScale
+					}
+					rate *= f
 				}
-				rate *= f
+				txTime = time.Duration(float64(b.size*8) / rate * float64(time.Second))
+				if txTime <= 0 {
+					txTime = time.Nanosecond
+				}
+				b.txTime = txTime
 			}
-			txTime = time.Duration(float64(b.size*8) / rate * float64(time.Second))
-			if txTime <= 0 {
-				txTime = time.Nanosecond
+			start := now
+			if l.nextFree > start {
+				start = l.nextFree
 			}
-			b.txTime = txTime
+			if l.cfg.MaxQueue > 0 {
+				// backlog counts packets ahead of this one (including the one in
+				// service); only the waiting ones occupy queue slots.
+				backlog := int((start - now) / txTime)
+				if backlog > l.stats.PeakBacklog {
+					l.stats.PeakBacklog = backlog
+				}
+				if backlog > l.cfg.MaxQueue {
+					l.stats.QueueDrops++
+					return 0, DropQueue
+				}
+			}
+			departure = start + txTime
+			l.nextFree = departure
 		}
-		start := now
-		if l.nextFree > start {
-			start = l.nextFree
-		}
-		if l.cfg.MaxQueue > 0 {
-			// backlog counts packets ahead of this one (including the one in
-			// service); only the waiting ones occupy queue slots.
-			backlog := int((start - now) / txTime)
-			if backlog > l.stats.PeakBacklog {
-				l.stats.PeakBacklog = backlog
-			}
-			if backlog > l.cfg.MaxQueue {
-				l.stats.QueueDrops++
-				return false, DropQueue
-			}
-		}
-		departure = start + txTime
-		l.nextFree = departure
-	}
 
-	// The arrival epoch (before FIFO clamping) is computed first so the loss
-	// model can expose the packet to the channel conditions of both transit
-	// ends; the model is consulted once per packet so burst-state evolution
-	// stays per-packet.
-	arrival := departure + l.cfg.Delay.Sample(now)
-	if l.cfg.Loss.Drop(now, arrival) {
-		l.stats.ChannelDrops++
-		return false, DropChannel
+		// The arrival epoch (before FIFO clamping) is computed first so the
+		// loss model can expose the packet to the channel conditions of both
+		// transit ends; the model is consulted once per packet so burst-state
+		// evolution stays per-packet.
+		arrival = departure + l.cfg.Delay.Sample(now)
+		if l.cfg.Loss.Drop(now, arrival) {
+			l.stats.ChannelDrops++
+			return 0, DropChannel
+		}
 	}
 	if arrival < l.lastDelivery {
 		arrival = l.lastDelivery // preserve FIFO delivery
 	}
 	l.lastDelivery = arrival
-	ev := l.free
-	if ev == nil {
-		ev = &linkEvent{l: l}
-	} else {
-		l.free = ev.next
-		ev.next = nil
-	}
-	ev.deliver = deliver
-	l.simulator.AtFire(arrival, ev)
-	return true, 0
+	return arrival, 0
 }
 
 // Sender is the one-way packet interface endpoints transmit into: a Link,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func newTestLink(t *testing.T, cfg LinkConfig) (*sim.Simulator, *Link) {
@@ -290,5 +291,46 @@ func TestLinkRateScaleIgnoredWhenInfinitelyFast(t *testing.T) {
 	}
 	if at != 5*time.Millisecond {
 		t.Errorf("delivered at %v, want pure propagation delay", at)
+	}
+}
+
+// trainWindow keeps a fixed window of packets in flight on one link: every
+// delivery sends the next packet while sends remain.
+type trainWindow struct {
+	l    *Link
+	left int
+}
+
+func (w *trainWindow) Fire() {
+	if w.left > 0 {
+		w.left--
+		w.l.Send(1500, w)
+	}
+}
+
+// TestLinkTrainZeroAlloc is the CI zero-alloc gate on the delivery train: a
+// warmed link delivering a steady 64-packet window allocates nothing per
+// round, telemetry on.
+func TestLinkTrainZeroAlloc(t *testing.T) {
+	s := sim.New()
+	var k telemetry.Kernel
+	s.SetTelemetry(&k)
+	l := NewLink(s, LinkConfig{Rate: 100e6, Delay: FixedDelay(20 * time.Millisecond)})
+	w := &trainWindow{l: l}
+	const window = 64
+	round := func() {
+		w.left = 4 * window
+		for i := 0; i < window; i++ {
+			l.Send(1500, w)
+		}
+		s.Run()
+	}
+	round() // grow the ring to the window
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("warmed link train allocates %v per round of %d packets, want 0", allocs, 5*window)
+	}
+	// The warm-up round, AllocsPerRun's own warm-up run, and 50 measured.
+	if got, want := l.Stats().Delivered, 52*5*window; got != want {
+		t.Fatalf("delivered %d packets, want %d", got, want)
 	}
 }

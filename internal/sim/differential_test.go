@@ -1,14 +1,17 @@
 package sim
 
-// Differential testing of the timing-wheel kernel against a comparison-based
-// reference scheduler. The reference is the binary heap the wheel replaced,
-// reduced to its ordering essence: a (at, seq) min-heap with lazy deletion.
+// Differential testing of the indexed-heap kernel against a reference
+// scheduler. The reference is the obviously correct one: a binary (at, seq)
+// min-heap with lazy deletion, where every Stop or re-arm leaves a stale
+// entry behind and a fired event is always popped before its handler runs.
 // Both kernels consume the same randomized schedule of operations —
 // Schedule/ScheduleFire (including zero delays and handler-chained events),
-// Stop, Reschedule, Step, RunBatch, RunUntil, and budget exhaustion — and
-// must produce the identical global fire order and identical accounting.
-// Any wheel bug that reorders, drops, duplicates, or resurrects an event
-// shows up as a log divergence.
+// Stop, Reschedule, NextSeq reservations, ArmAt with reserved stamps, Step,
+// RunBatch, RunUntil, and budget exhaustion — and handlers that re-arm,
+// Reschedule or Stop their own timer while it fires. Both must produce the
+// identical global fire order and identical accounting. Any kernel bug that
+// reorders, drops, duplicates, or resurrects an event shows up as a log
+// divergence.
 
 import (
 	"container/heap"
@@ -23,6 +26,7 @@ type refEvent struct {
 	seq       uint64
 	gen       uint64 // bumped on Stop/Reschedule; validates heap entries
 	id        int
+	pooled    bool // scheduled fire-and-forget: no handle for self-actions
 	fired     bool
 	cancelled bool
 }
@@ -91,14 +95,23 @@ func (r *refSched) stop(e *refEvent) bool {
 }
 
 func (r *refSched) reschedule(e *refEvent, delay time.Duration) {
-	e.at = r.now + delay
+	r.armAt(e, r.now+delay, r.nextSeq())
+}
+
+func (r *refSched) nextSeq() uint64 {
+	seq := r.seq
+	r.seq++
+	return seq
+}
+
+func (r *refSched) armAt(e *refEvent, at time.Duration, seq uint64) {
+	e.at = at
 	e.gen++
 	if e.fired || e.cancelled {
 		e.fired, e.cancelled = false, false
 		r.live++
 	}
-	e.seq = r.seq
-	r.seq++
+	e.seq = seq
 	heap.Push(&r.h, refEntry{at: e.at, seq: e.seq, gen: e.gen, e: e})
 }
 
@@ -177,7 +190,7 @@ type fireRec struct {
 	at time.Duration
 }
 
-// fireLogger implements Handler for the wheel side's fire-and-forget events.
+// fireLogger implements Handler for the kernel side's fire-and-forget events.
 type fireLogger struct {
 	h  *diffHarness
 	id int
@@ -185,7 +198,7 @@ type fireLogger struct {
 
 func (f *fireLogger) Fire() { f.h.realFired(f.id) }
 
-// diffHarness drives the wheel kernel and the reference scheduler through
+// diffHarness drives the heap kernel and the reference scheduler through
 // one operation schedule and collects both fire logs.
 type diffHarness struct {
 	t *testing.T
@@ -198,6 +211,13 @@ type diffHarness struct {
 	realTimers []*Timer
 	refEvents  []*refEvent
 
+	// Handles by event id, for handlers acting on their own timer.
+	realByID map[int]*Timer
+	refByID  map[int]*refEvent
+
+	// Reserved, not yet used FIFO stamps, oldest first.
+	realSeqs, refSeqs []uint64
+
 	realLog []fireRec
 	refLog  []fireRec
 
@@ -206,6 +226,8 @@ type diffHarness struct {
 	// (including zero delays into the tick being drained).
 	realChain, refChain   int
 	realNextID, refNextID int
+	// Per-side budget of handler self-actions (re-arm, Reschedule).
+	realSelf, refSelf int
 }
 
 // chainDelay derives a deterministic follow-up delay from the firing event's
@@ -214,24 +236,111 @@ func chainDelay(id int) time.Duration {
 	return time.Duration(id%5) * 300 * time.Microsecond
 }
 
+// realReserve and refReserve hand out the oldest reserved stamp, or a fresh
+// one when none is left; a stamp is used once, so no two queued events
+// share a key.
+func (h *diffHarness) realReserve() uint64 {
+	if len(h.realSeqs) == 0 {
+		return h.s.NextSeq()
+	}
+	seq := h.realSeqs[0]
+	h.realSeqs = h.realSeqs[1:]
+	return seq
+}
+
+func (h *diffHarness) refReserve() uint64 {
+	if len(h.refSeqs) == 0 {
+		return h.r.nextSeq()
+	}
+	seq := h.refSeqs[0]
+	h.refSeqs = h.refSeqs[1:]
+	return seq
+}
+
+// realSchedule and refSchedule queue a stoppable timer under a fresh id.
+func (h *diffHarness) realSchedule(d time.Duration) {
+	id := h.realNextID
+	h.realNextID++
+	tm := h.s.Schedule(d, func() { h.realFired(id) })
+	h.realTimers = append(h.realTimers, tm)
+	h.realByID[id] = tm
+}
+
+func (h *diffHarness) refSchedule(d time.Duration) {
+	id := h.refNextID
+	h.refNextID++
+	e := h.r.schedule(d, id)
+	h.refEvents = append(h.refEvents, e)
+	h.refByID[id] = e
+}
+
+// realFired and refFired log a firing. A stoppable timer's handler may then
+// act on its own timer by id: id%7 == 1 Reschedules it, 2 Stops it (which
+// must report false: it already fired), 4 re-arms it with ArmAt under a
+// reserved stamp. With id%7 == 5 it arms another timer at the current
+// instant under a reserved stamp, which, when older than its own, puts that
+// timer ahead of the firing one. Fired events with id%3 == 0 schedule a follow-up while
+// chain budget remains, exercising scheduling from inside dispatch
+// (including zero delays into the instant being dispatched).
 func (h *diffHarness) realFired(id int) {
 	h.realLog = append(h.realLog, fireRec{id: id, at: h.s.Now()})
+	if tm := h.realByID[id]; tm != nil {
+		switch id % 7 {
+		case 1:
+			if h.realSelf > 0 {
+				h.realSelf--
+				tm.Reschedule(chainDelay(id))
+			}
+		case 2:
+			if tm.Stop() {
+				h.t.Errorf("Stop of timer %d inside its own handler returned true", id)
+			}
+		case 4:
+			if h.realSelf > 0 {
+				h.realSelf--
+				tm.ArmAt(h.s.Now()+chainDelay(id), h.realReserve())
+			}
+		case 5:
+			if h.realSelf > 0 {
+				h.realSelf--
+				h.realTimers[id%len(h.realTimers)].ArmAt(h.s.Now(), h.realReserve())
+			}
+		}
+	}
 	if id%3 == 0 && h.realChain > 0 {
 		h.realChain--
-		nid := h.realNextID
-		h.realNextID++
-		tm := h.s.Schedule(chainDelay(id), func() { h.realFired(nid) })
-		h.realTimers = append(h.realTimers, tm)
+		h.realSchedule(chainDelay(id))
 	}
 }
 
 func (h *diffHarness) refFired(e *refEvent) {
 	h.refLog = append(h.refLog, fireRec{id: e.id, at: h.r.now})
+	if !e.pooled {
+		switch e.id % 7 {
+		case 1:
+			if h.refSelf > 0 {
+				h.refSelf--
+				h.r.reschedule(e, chainDelay(e.id))
+			}
+		case 2:
+			if h.r.stop(e) {
+				h.t.Errorf("reference Stop of event %d inside its own handler returned true", e.id)
+			}
+		case 4:
+			if h.refSelf > 0 {
+				h.refSelf--
+				h.r.armAt(e, h.r.now+chainDelay(e.id), h.refReserve())
+			}
+		case 5:
+			if h.refSelf > 0 {
+				h.refSelf--
+				h.r.armAt(h.refEvents[e.id%len(h.refEvents)], h.r.now, h.refReserve())
+			}
+		}
+	}
 	if e.id%3 == 0 && h.refChain > 0 {
 		h.refChain--
-		nid := h.refNextID
-		h.refNextID++
-		h.refEvents = append(h.refEvents, h.r.schedule(chainDelay(e.id), nid))
+		h.refSchedule(chainDelay(e.id))
 	}
 }
 
@@ -252,7 +361,10 @@ func (h *diffHarness) checkState(op string) {
 		h.t.Fatalf("after %s: Exhausted() = %v, reference = %v", op, h.s.Exhausted(), h.r.exhausted)
 	}
 	if len(h.realLog) != len(h.refLog) {
-		h.t.Fatalf("after %s: %d fires on wheel, %d on reference", op, len(h.realLog), len(h.refLog))
+		h.t.Fatalf("after %s: %d fires on heap kernel, %d on reference", op, len(h.realLog), len(h.refLog))
+	}
+	if h.s.queuedLen() != h.s.Pending() {
+		h.t.Fatalf("after %s: %d heap entries but %d pending events", op, h.s.queuedLen(), h.s.Pending())
 	}
 }
 
@@ -264,19 +376,18 @@ func (h *diffHarness) checkLogs() {
 	}
 	for i := 0; i < n; i++ {
 		if h.realLog[i] != h.refLog[i] {
-			h.t.Fatalf("fire %d diverged: wheel fired id=%d at %v, reference id=%d at %v",
+			h.t.Fatalf("fire %d diverged: heap kernel fired id=%d at %v, reference id=%d at %v",
 				i, h.realLog[i].id, h.realLog[i].at, h.refLog[i].id, h.refLog[i].at)
 		}
 	}
 	if len(h.realLog) != len(h.refLog) {
-		h.t.Fatalf("fire counts diverged: wheel %d, reference %d", len(h.realLog), len(h.refLog))
+		h.t.Fatalf("fire counts diverged: heap kernel %d, reference %d", len(h.realLog), len(h.refLog))
 	}
 }
 
-// decodeDelay maps two schedule bytes to a delay spanning several wheel
-// levels: the common case stays within the finest two levels (up to ~5.7 s),
-// and every seventh value is stretched ~4096x to land in the coarse levels
-// and force multi-hop cascades.
+// decodeDelay maps two schedule bytes to a delay: the common case stays
+// within ~5.7 s, and every seventh value is stretched ~4096x into the far
+// future, so near and distant events interleave in the heap.
 func decodeDelay(hi, lo byte) time.Duration {
 	v := int64(hi)<<8 | int64(lo)
 	d := time.Duration(v) * 87 * time.Microsecond
@@ -296,8 +407,12 @@ func runDifferential(t *testing.T, ops []byte) {
 	h := &diffHarness{
 		t:         t,
 		s:         New(),
+		realByID:  map[int]*Timer{},
+		refByID:   map[int]*refEvent{},
 		realChain: 256,
 		refChain:  256,
+		realSelf:  256,
+		refSelf:   256,
 	}
 	h.r = &refSched{fire: h.refFired}
 	h.s.SetInvariantChecks(true)
@@ -313,16 +428,11 @@ func runDifferential(t *testing.T, ops []byte) {
 	}
 	for i < len(ops) {
 		op := next()
-		switch op % 9 {
+		switch op % 11 {
 		case 0: // Schedule a stoppable timer
 			d := decodeDelay(next(), next())
-			id := h.realNextID
-			h.realNextID++
-			tm := h.s.Schedule(d, func() { h.realFired(id) })
-			h.realTimers = append(h.realTimers, tm)
-			rid := h.refNextID
-			h.refNextID++
-			h.refEvents = append(h.refEvents, h.r.schedule(d, rid))
+			h.realSchedule(d)
+			h.refSchedule(d)
 			h.checkState("schedule")
 		case 1: // ScheduleFire through the pooled fire-and-forget path
 			d := decodeDelay(next(), next())
@@ -331,16 +441,11 @@ func runDifferential(t *testing.T, ops []byte) {
 			h.s.ScheduleFire(d, &fireLogger{h: h, id: id})
 			rid := h.refNextID
 			h.refNextID++
-			h.r.schedule(d, rid)
+			h.r.schedule(d, rid).pooled = true
 			h.checkState("schedulefire")
 		case 2: // Zero-delay schedule: fires after everything already due now
-			id := h.realNextID
-			h.realNextID++
-			tm := h.s.Schedule(0, func() { h.realFired(id) })
-			h.realTimers = append(h.realTimers, tm)
-			rid := h.refNextID
-			h.refNextID++
-			h.refEvents = append(h.refEvents, h.r.schedule(0, rid))
+			h.realSchedule(0)
+			h.refSchedule(0)
 			h.checkState("zero-delay")
 		case 3: // Stop a random timer; the return values must agree
 			if len(h.realTimers) != len(h.refEvents) {
@@ -351,7 +456,7 @@ func runDifferential(t *testing.T, ops []byte) {
 				rs := h.realTimers[k].Stop()
 				fs := h.r.stop(h.refEvents[k])
 				if rs != fs {
-					t.Fatalf("Stop(timer %d) = %v on wheel, %v on reference", k, rs, fs)
+					t.Fatalf("Stop(timer %d) = %v on heap kernel, %v on reference", k, rs, fs)
 				}
 			}
 			h.checkState("stop")
@@ -362,7 +467,7 @@ func runDifferential(t *testing.T, ops []byte) {
 				ra := h.realTimers[k].Active()
 				fa := !h.refEvents[k].fired && !h.refEvents[k].cancelled
 				if ra != fa {
-					t.Fatalf("Active(timer %d) = %v on wheel, %v on reference", k, ra, fa)
+					t.Fatalf("Active(timer %d) = %v on heap kernel, %v on reference", k, ra, fa)
 				}
 				h.realTimers[k].Reschedule(d)
 				h.r.reschedule(h.refEvents[k], d)
@@ -372,10 +477,10 @@ func runDifferential(t *testing.T, ops []byte) {
 			rs := h.s.Step()
 			fs := h.r.step()
 			if rs != fs {
-				t.Fatalf("Step() = %v on wheel, %v on reference", rs, fs)
+				t.Fatalf("Step() = %v on heap kernel, %v on reference", rs, fs)
 			}
 			h.checkState("step")
-		case 6: // RunBatch a tick's worth; the reference replays the count
+		case 6: // RunBatch one tick's worth; the reference replays the count
 			n := h.s.RunBatch()
 			for j := 0; j < n; j++ {
 				if !h.r.step() {
@@ -401,6 +506,30 @@ func runDifferential(t *testing.T, ops []byte) {
 			h.checkState("budget-run")
 			h.s.SetBudget(Budget{})
 			h.r.budget, h.r.exhausted = Budget{}, false
+		case 9: // Reserve a stamp; stamps handed out later are all younger
+			rs, fs := h.s.NextSeq(), h.r.nextSeq()
+			if rs != fs {
+				t.Fatalf("NextSeq() = %d on heap kernel, %d on reference", rs, fs)
+			}
+			h.realSeqs = append(h.realSeqs, rs)
+			h.refSeqs = append(h.refSeqs, fs)
+			h.checkState("nextseq")
+		case 10: // ArmAt a random timer under the oldest reserved stamp
+			if n := len(h.realTimers); n > 0 {
+				k := int(next()) % n
+				sel := next()
+				d := decodeDelay(next(), next())
+				rat, fat := h.s.Now()+d, h.r.now+d
+				if sel%2 == 0 {
+					// Land on another timer's instant, where an older
+					// reserved stamp must fire ahead of younger entries.
+					j := int(sel/2) % n
+					rat, fat = max(h.realTimers[j].At(), h.s.Now()), max(h.refEvents[j].at, h.r.now)
+				}
+				h.realTimers[k].ArmAt(rat, h.realReserve())
+				h.r.armAt(h.refEvents[k], fat, h.refReserve())
+			}
+			h.checkState("armat")
 		}
 		h.checkLogs()
 	}
@@ -413,13 +542,13 @@ func runDifferential(t *testing.T, ops []byte) {
 	h.checkState("final-drain")
 	h.checkLogs()
 	if h.s.Pending() != 0 {
-		t.Fatalf("wheel kernel left %d events pending after full drain", h.s.Pending())
+		t.Fatalf("heap kernel left %d events pending after full drain", h.s.Pending())
 	}
 }
 
 // TestKernelDifferentialRandom feeds seeded random op schedules through the
-// differential harness: the wheel kernel must match the reference heap on
-// every one.
+// differential harness: the heap kernel must match the reference on every
+// one.
 func TestKernelDifferentialRandom(t *testing.T) {
 	iters := 150
 	if testing.Short() {
@@ -436,20 +565,27 @@ func TestKernelDifferentialRandom(t *testing.T) {
 }
 
 // FuzzKernelDifferential lets the fuzzer search for op schedules on which
-// the wheel kernel and the reference heap disagree.
+// the heap kernel and the reference disagree.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
-	// A schedule mixing coarse-level placements (delay values divisible by 7
-	// are stretched into the upper wheel levels), cancellation, reschedule
-	// churn, and budget stops.
+	// A schedule mixing far-future placements (delay values divisible by 7
+	// are stretched ~4096x), cancellation, reschedule churn, and budget
+	// stops.
 	f.Add([]byte{
 		0, 0, 7, 1, 0, 14, 0, 255, 255, 2, 2, 2,
 		3, 1, 4, 0, 0, 49, 5, 5, 6, 7, 0, 28,
 		8, 3, 0, 0, 0, 1, 7, 0, 8, 6, 5,
 	})
 	f.Add([]byte{2, 2, 2, 2, 5, 5, 5, 5, 3, 0, 4, 0, 0, 0, 5})
+	// Reserve a stamp, queue younger timers at one instant, then arm a
+	// timer there under the older stamp; the self-acting ids (1, 2, 4 mod 7)
+	// fire along the way.
+	f.Add([]byte{
+		9, 0, 0, 5, 0, 0, 5, 0, 0, 5, 0, 0, 5,
+		10, 0, 2, 0, 0, 10, 3, 0, 0, 0, 6, 6, 5, 5, 5,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runDifferential(t, ops)
 	})

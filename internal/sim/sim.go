@@ -1,34 +1,38 @@
 // Package sim implements a deterministic discrete-event simulation kernel:
-// a virtual clock, a hierarchical timing wheel with stable FIFO ordering for
-// simultaneous events, cancellable timers, and seeded random-number streams.
+// a virtual clock, an indexed min-heap of pending events with stable FIFO
+// ordering for simultaneous ones, cancellable timers, and seeded
+// random-number streams.
 //
 // Every other substrate (link emulation, TCP endpoints, mobility) is driven
 // by a Simulator so that a whole experiment is a single-threaded,
 // reproducible computation: the same seed always produces the same packet
 // trace.
 //
-// The scheduler is a four-level timing wheel over tick-quantized virtual
-// time (2^20 ns ≈ 1.05 ms per tick at the finest level, each coarser level
-// 256× wider). Events keep their exact nanosecond timestamps; the wheel only
-// buckets them, and each advance drains the earliest occupied slot into a
-// dense, (at, seq)-sorted due batch, so the global fire order is exactly the
-// order a comparison-based queue would produce. Insertion, cancellation and
-// rescheduling are O(1) — timers live on intrusive per-slot lists and are
-// unlinked directly — and the per-tick batches feed RunBatch, the dense
-// dispatch loop the hot simulation paths run on.
+// The scheduler is a 4-ary min-heap keyed by (timestamp, sequence stamp).
+// Each heap entry holds its key inline next to its *Timer, and every Timer
+// records its heap index, so Stop and Reschedule are O(log n) and never
+// leave dead entries behind. Every event gets the next sequence stamp when
+// it is scheduled; equal timestamps therefore fire in scheduling order.
+// NextSeq reserves a stamp without scheduling anything, and Timer.ArmAt
+// arms a timer with a reserved stamp: that is how a netem.Link keeps all of
+// its in-flight packets behind one timer while each packet still fires at
+// the position its own Send reserved.
+//
+// A timer that is not pooled keeps its heap slot while its handler runs.
+// When the handler re-arms it, as a link does for its next packet and a TCP
+// sender for its next retransmission timeout, the kernel sifts the slot
+// down from the root instead of popping it and pushing it again; when the
+// handler leaves it alone, the slot is removed after the handler returns.
 //
 // The kernel is allocation-conscious. Fire-and-forget events scheduled
 // through ScheduleFire/AtFire draw their event objects from a per-simulator
-// free list and return them after firing, so the per-packet hot path
-// (link deliveries) allocates nothing in steady state. Long-lived timers
-// avoid Stop+Schedule churn via Timer.Reschedule, which re-slots the timer
-// in place — usually without even moving it between wheel slots.
+// free list and return them before their handler runs, so that path
+// allocates nothing in steady state. Long-lived timers avoid Stop+Schedule
+// churn via Timer.Reschedule, which moves the timer within the heap.
 package sim
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -42,34 +46,25 @@ type Handler interface {
 	Fire()
 }
 
-// Timing-wheel geometry. The finest tick is 2^tickShift nanoseconds; each of
-// the wheelLevels levels spans wheelSlots ticks of the level below, so the
-// wheel directly addresses 2^(tickShift+levels*bits) ns ≈ 52 days of virtual
-// time. Events beyond that are parked in the farthest top-level slot and
-// re-cascade when reached (their exact timestamp lives on the Timer).
-const (
-	tickShift   = 20 // 2^20 ns ≈ 1.05 ms per finest-level tick
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-)
+// batchShift sets the width of a dispatch batch: RunBatch and the batch
+// telemetry group consecutively fired events by their 2^batchShift ns
+// (≈ 1.05 ms) tick.
+const batchShift = 20
 
-// Timer placement states, stored in Timer.level: >= 0 is a wheel level.
-const (
-	timerUnqueued = -1 // fired, stopped, or never scheduled
-	timerInDue    = -2 // sitting in the sorted due batch
-)
+// heapArity is the heap's fan-out. Four children per node halve the depth
+// of a binary heap, and a node's children share one or two cache lines.
+const heapArity = 4
 
-// dueEntry is one slot of the dense due batch: the timers of the tick being
-// dispatched, sorted by (at, seq). The gen snapshot detects entries
-// invalidated by Stop/Reschedule after the batch was formed; they are
-// skipped lazily at dispatch.
-type dueEntry struct {
+// entry is one heap slot: a queued timer and its (at, seq) key, copied
+// inline so sifting compares keys without dereferencing the timer.
+type entry struct {
 	at  time.Duration
 	seq uint64
-	gen uint64
 	t   *Timer
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Simulator owns the virtual clock and the pending event queue. The zero
@@ -80,16 +75,10 @@ type Simulator struct {
 	live int    // scheduled, not-yet-fired, not-cancelled events
 	free *Timer // free list of recycled fire-and-forget events
 
-	// cursor is the wheel's current tick: every event with a due tick at or
-	// before it has been moved into the due batch (or fired); everything in
-	// the wheel is strictly ahead of it. It can run ahead of now>>tickShift —
-	// the clock advances to exact event timestamps, the cursor to drained
-	// slot boundaries.
-	cursor     int64
-	wheelCount int // timers linked into wheel slots
-	due        []dueEntry
-	dueHead    int  // next due entry to dispatch
-	draining   bool // advance() is redistributing a slot (defer due sorting)
+	// heap holds every queued timer. Between events each entry is live;
+	// while a non-pooled timer's handler runs, that timer keeps its slot,
+	// fired and not pending, until it is re-armed or the handler returns.
+	heap []entry
 
 	budget    Budget
 	executed  int64
@@ -100,10 +89,9 @@ type Simulator struct {
 	// every update below is guarded by one nil check, so the disabled path
 	// costs a predictable branch and zero allocations.
 	tel *telemetry.Kernel
-
-	levelCount [wheelLevels]int
-	occupied   [wheelLevels][wheelSlots / 64]uint64
-	wheel      [wheelLevels][wheelSlots]*Timer
+	// batchTick and batchLen track the telemetry's current dispatch batch.
+	batchTick int64
+	batchLen  int64
 }
 
 // SetTelemetry attaches a kernel metrics sink (nil detaches). Updates are
@@ -140,15 +128,15 @@ func (s *Simulator) Exhausted() bool { return s.exhausted }
 
 // SetInvariantChecks toggles the kernel's self-check mode: after every
 // executed event the clock and live-event counter are verified, and the
-// whole wheel (slot placement, occupancy bitmaps, live accounting, due-batch
-// ordering) is audited periodically. Violations panic — the mode exists to
-// turn silent kernel corruption into an immediate, attributable failure
-// during stress campaigns, not to be recovered from.
+// whole heap (ordering, index back-pointers, live accounting) is audited
+// periodically. Violations panic — the mode exists to turn silent kernel
+// corruption into an immediate, attributable failure during stress
+// campaigns, not to be recovered from.
 func (s *Simulator) SetInvariantChecks(on bool) { s.selfCheck = on }
 
 // New returns a Simulator with the clock at zero and no pending events.
 func New() *Simulator {
-	return &Simulator{}
+	return &Simulator{batchTick: -1}
 }
 
 // Now returns the current virtual time.
@@ -158,12 +146,24 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // events. It is O(1): the kernel maintains a live-event counter.
 func (s *Simulator) Pending() int { return s.live }
 
-// queuedLen returns the number of physically queued entries — wheel timers
-// plus undispatched due entries, including ones invalidated by Stop — for
-// diagnostics and tests. Unlike the lazy-deletion heap this kernel replaced,
-// stopped timers are unlinked immediately, so queuedLen can only exceed
-// Pending by stale due entries of the tick currently being dispatched.
-func (s *Simulator) queuedLen() int { return s.wheelCount + len(s.due) - s.dueHead }
+// queuedLen returns the number of heap entries, for diagnostics and tests.
+// Stopped timers leave the heap at once, so between events it equals
+// Pending.
+func (s *Simulator) queuedLen() int { return len(s.heap) }
+
+// NextSeq reserves the next FIFO sequence stamp without scheduling an
+// event. A caller that queues work of its own and fires it through one
+// timer (see Timer.ArmAt) reserves each item's stamp where it would have
+// scheduled the item, so the item fires exactly where a scheduled event
+// would have. Telemetry counts a reservation as a scheduled event.
+func (s *Simulator) NextSeq() uint64 {
+	seq := s.seq
+	s.seq++
+	if s.tel != nil {
+		s.tel.Scheduled++
+	}
+	return seq
+}
 
 // Schedule runs fn after delay of virtual time. A zero delay fires the event
 // at the current time but strictly after all previously scheduled events for
@@ -185,9 +185,19 @@ func (s *Simulator) At(t time.Duration, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
-	ev := &Timer{s: s, at: t, fn: fn, level: timerUnqueued}
-	s.push(ev)
+	ev := &Timer{s: s, at: t, fn: fn, idx: -1}
+	s.schedule(ev)
 	return ev
+}
+
+// NewTimer returns an unarmed timer that runs fn when it fires. It is
+// inactive until ArmAt or Reschedule arms it, and then behaves like a timer
+// returned by At.
+func (s *Simulator) NewTimer(fn func()) *Timer {
+	if fn == nil {
+		panic("sim: NewTimer with nil callback")
+	}
+	return &Timer{s: s, fn: fn, idx: -1, cancelled: true}
 }
 
 // ScheduleFire schedules h.Fire after delay of virtual time as a
@@ -212,7 +222,7 @@ func (s *Simulator) AtFire(t time.Duration, h Handler) {
 	}
 	ev := s.free
 	if ev == nil {
-		ev = &Timer{s: s, level: timerUnqueued}
+		ev = &Timer{s: s, idx: -1}
 		if s.tel != nil {
 			s.tel.PoolMisses++
 		}
@@ -227,269 +237,144 @@ func (s *Simulator) AtFire(t time.Duration, h Handler) {
 	ev.h = h
 	ev.fired = false
 	ev.cancelled = false
+	s.schedule(ev)
+}
+
+// schedule queues a new event under the next FIFO stamp.
+func (s *Simulator) schedule(ev *Timer) {
+	ev.seq = s.seq
+	s.seq++
+	if s.tel != nil {
+		s.tel.Scheduled++
+	}
+	s.addLive()
 	s.push(ev)
 }
 
-// push inserts a new event, stamping the FIFO tiebreaker.
-func (s *Simulator) push(ev *Timer) {
-	ev.seq = s.seq
-	s.seq++
+// addLive counts one more live event and tracks the peak.
+func (s *Simulator) addLive() {
 	s.live++
-	s.place(ev)
-	if s.tel != nil {
-		s.tel.Scheduled++
-		if d := int64(s.live); d > s.tel.MaxPending {
-			s.tel.MaxPending = d
-		}
+	if s.tel != nil && int64(s.live) > s.tel.MaxPending {
+		s.tel.MaxPending = int64(s.live)
 	}
 }
 
-// tickOf quantizes a timestamp to a wheel tick.
-func tickOf(t time.Duration) int64 { return int64(t) >> tickShift }
+// push appends t's (at, seq) key to the heap and sifts it up.
+func (s *Simulator) push(t *Timer) {
+	s.heap = append(s.heap, entry{at: t.at, seq: t.seq, t: t})
+	s.up(len(s.heap) - 1)
+}
 
-// placement returns the wheel coordinates for an event due at dueTick,
-// which must be strictly after the cursor. Levels are compared in
-// tick-number space shifted to the level's granularity — not by raw tick
-// distance — so two events a full rotation apart can never alias into one
-// slot. Far-future events park in the farthest top-level slot and re-cascade
-// when the cursor reaches it.
-func (s *Simulator) placement(dueTick int64) (level, slot int) {
-	for l := 0; ; l++ {
-		shift := uint(l * wheelBits)
-		diff := (dueTick >> shift) - (s.cursor >> shift)
-		if diff < wheelSlots || l == wheelLevels-1 {
-			if diff > wheelMask {
-				diff = wheelMask
-			}
-			return l, int(((s.cursor >> shift) + diff) & wheelMask)
-		}
+// remove deletes heap slot i, filling it with the last entry.
+func (s *Simulator) remove(i int) {
+	h := s.heap
+	h[i].t.idx = -1
+	last := len(h) - 1
+	if i != last {
+		h[i] = h[last]
+	}
+	h[last] = entry{}
+	s.heap = h[:last]
+	if i != last {
+		s.fix(i)
 	}
 }
 
-// place files a (seq-stamped) timer: into the due batch when its tick is not
-// ahead of the cursor, into a wheel slot otherwise.
-func (s *Simulator) place(t *Timer) {
-	if tick := tickOf(t.at); tick > s.cursor {
-		level, slot := s.placement(tick)
-		s.link(t, level, slot)
-		return
-	}
-	s.dueAdd(t)
-}
-
-// link puts t at the head of a wheel slot's intrusive list. Order within a
-// slot is irrelevant: the slot is sorted by (at, seq) when drained.
-func (s *Simulator) link(t *Timer, level, slot int) {
-	head := s.wheel[level][slot]
-	t.next = head
-	t.prev = nil
-	if head != nil {
-		head.prev = t
-	}
-	s.wheel[level][slot] = t
-	t.level, t.slot = int16(level), int16(slot)
-	s.occupied[level][slot>>6] |= 1 << (uint(slot) & 63)
-	s.levelCount[level]++
-	s.wheelCount++
-}
-
-// unlink removes t from its wheel slot in O(1).
-func (s *Simulator) unlink(t *Timer) {
-	level, slot := int(t.level), int(t.slot)
-	if t.prev != nil {
-		t.prev.next = t.next
+// fix restores heap order after slot i's key changed.
+func (s *Simulator) fix(i int) {
+	if i > 0 && s.heap[i].before(&s.heap[(i-1)/heapArity]) {
+		s.up(i)
 	} else {
-		s.wheel[level][slot] = t.next
-	}
-	if t.next != nil {
-		t.next.prev = t.prev
-	}
-	t.next, t.prev = nil, nil
-	if s.wheel[level][slot] == nil {
-		s.occupied[level][slot>>6] &^= 1 << (uint(slot) & 63)
-	}
-	s.levelCount[level]--
-	s.wheelCount--
-	t.level = timerUnqueued
-}
-
-// dueAdd appends t to the due batch. While a slot is draining the batch is
-// sorted once at the end; outside a drain (an event scheduled for the
-// current tick, e.g. zero delay) the entry is placed by binary search so the
-// batch stays dispatchable in (at, seq) order. The freshly stamped seq is
-// larger than every queued one, so equal timestamps land after their elders.
-func (s *Simulator) dueAdd(t *Timer) {
-	t.level = timerInDue
-	e := dueEntry{at: t.at, seq: t.seq, gen: t.gen, t: t}
-	if s.draining {
-		s.due = append(s.due, e)
-		return
-	}
-	pending := s.due[s.dueHead:]
-	i, _ := slices.BinarySearchFunc(pending, e, cmpDue)
-	s.due = append(s.due, dueEntry{})
-	pos := s.dueHead + i
-	copy(s.due[pos+1:], s.due[pos:])
-	s.due[pos] = e
-}
-
-func cmpDue(a, b dueEntry) int {
-	switch {
-	case a.at != b.at:
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
-}
-
-// nextOccupied returns the circular distance (>= lo) from slot `from` to the
-// nearest occupied slot on level l, or -1 when the level is empty in that
-// range. The occupancy bitmaps make this a handful of word scans.
-func (s *Simulator) nextOccupied(l, from, lo int) int {
-	occ := &s.occupied[l]
-	start := (from + lo) & wheelMask
-	if w := occ[start>>6] >> (uint(start) & 63); w != 0 {
-		return (start + bits.TrailingZeros64(w) - from) & wheelMask
-	}
-	for i := 1; i <= wheelSlots/64; i++ {
-		idx := ((start >> 6) + i) & (wheelSlots/64 - 1)
-		if w := occ[idx]; w != 0 {
-			return (idx<<6 + bits.TrailingZeros64(w) - from) & wheelMask
-		}
-	}
-	return -1
-}
-
-// advance moves the cursor to the earliest occupied slot boundary and drains
-// every slot that begins there, top level first: coarse slots redistribute
-// into finer ones (a cascade), finest-level and current-tick events join the
-// due batch, which is then sorted into dispatch order.
-func (s *Simulator) advance() {
-	best := int64(-1)
-	for l := wheelLevels - 1; l >= 0; l-- {
-		if s.levelCount[l] == 0 {
-			continue
-		}
-		shift := uint(l * wheelBits)
-		coarse := s.cursor >> shift
-		lo := 1
-		if l == 0 {
-			// The cursor's own finest slot can hold events placed before a
-			// coarse jump landed exactly on it; distance 0 finds them.
-			lo = 0
-		}
-		d := s.nextOccupied(l, int(coarse&wheelMask), lo)
-		if d < 0 {
-			continue
-		}
-		if base := (coarse + int64(d)) << shift; best < 0 || base < best {
-			best = base
-		}
-	}
-	if best < 0 {
-		panic("sim: internal: advance on an empty wheel")
-	}
-	s.cursor = best
-	s.draining = true
-	var maxSlot int
-	for l := wheelLevels - 1; l >= 0; l-- {
-		shift := uint(l * wheelBits)
-		slot := int((s.cursor >> shift) & wheelMask)
-		head := s.wheel[l][slot]
-		if head == nil {
-			continue
-		}
-		// A non-empty slot at the cursor's own coordinates always begins at
-		// the cursor (coarse levels only become current via an aligned jump),
-		// so everything in it is due for redistribution now.
-		s.wheel[l][slot] = nil
-		s.occupied[l][slot>>6] &^= 1 << (uint(slot) & 63)
-		n := 0
-		for t := head; t != nil; {
-			next := t.next
-			t.next, t.prev = nil, nil
-			t.level = timerUnqueued
-			n++
-			s.place(t)
-			t = next
-		}
-		s.levelCount[l] -= n
-		s.wheelCount -= n
-		if n > maxSlot {
-			maxSlot = n
-		}
-		if s.tel != nil && l > 0 {
-			s.tel.Cascades += int64(n)
-		}
-	}
-	s.draining = false
-	if len(s.due) > 1 {
-		slices.SortFunc(s.due, cmpDue)
-	}
-	if s.tel != nil {
-		if int64(maxSlot) > s.tel.MaxSlot {
-			s.tel.MaxSlot = int64(maxSlot)
-		}
-		if n := int64(len(s.due)); n > 0 {
-			s.tel.Batches++
-			s.tel.BatchEvents += n
-			if n > s.tel.MaxBatch {
-				s.tel.MaxBatch = n
-			}
-		}
+		s.down(i)
 	}
 }
 
-// refill returns the earliest live event without consuming it, advancing the
-// wheel as needed, or nil when the queue is empty. Stale due entries
-// (stopped or rescheduled after the batch formed) are skipped here.
-func (s *Simulator) refill() *Timer {
+// up sifts slot i toward the root.
+func (s *Simulator) up(i int) {
+	h := s.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.idx = int32(i)
+		i = p
+	}
+	h[i] = e
+	e.t.idx = int32(i)
+}
+
+// down sifts slot i toward the leaves.
+func (s *Simulator) down(i int) {
+	h := s.heap
+	n := len(h)
+	e := h[i]
 	for {
-		for s.dueHead < len(s.due) {
-			e := &s.due[s.dueHead]
-			if e.t.gen == e.gen {
-				return e.t
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+heapArity, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
 			}
-			s.dueHead++
 		}
-		if s.dueHead > 0 {
-			s.due = s.due[:0]
-			s.dueHead = 0
+		if !h[m].before(&e) {
+			break
 		}
-		if s.wheelCount == 0 {
-			return nil
-		}
-		s.advance()
+		h[i] = h[m]
+		h[i].t.idx = int32(i)
+		i = m
 	}
+	h[i] = e
+	e.t.idx = int32(i)
 }
 
-// fire executes one event, advancing the clock to its timestamp.
-func (s *Simulator) fire(t *Timer) {
-	t.gen++
-	t.level = timerUnqueued
+// fire executes the root event, advancing the clock to its timestamp.
+func (s *Simulator) fire() {
+	t := s.heap[0].t
 	s.now = t.at
 	s.live--
 	s.executed++
 	if s.tel != nil {
-		s.tel.Events++
+		s.countEvent(t.at)
 	}
 	t.fired = true
 	if h := t.h; h != nil {
 		// Fire-and-forget event: recycle before invoking so the handler
-		// can immediately reuse the slot for follow-up events.
+		// can immediately reuse the object for follow-up events.
+		s.remove(0)
 		s.recycle(t)
 		h.Fire()
 	} else {
 		t.fn()
+		if t.fired && t.idx >= 0 {
+			// Not re-armed by its handler: give up the slot it kept.
+			s.remove(int(t.idx))
+		}
 	}
 	if s.selfCheck {
 		s.checkInvariants()
+	}
+}
+
+// countEvent records one executed event and its dispatch batch: a run of
+// consecutively fired events in one 2^batchShift ns tick.
+func (s *Simulator) countEvent(at time.Duration) {
+	k := s.tel
+	k.Events++
+	if tick := int64(at) >> batchShift; tick != s.batchTick {
+		s.batchTick = tick
+		s.batchLen = 0
+		k.Batches++
+	}
+	s.batchLen++
+	k.BatchEvents++
+	if s.batchLen > k.MaxBatch {
+		k.MaxBatch = s.batchLen
 	}
 }
 
@@ -519,41 +404,29 @@ func (s *Simulator) recycle(ev *Timer) {
 // its timestamp. It reports whether an event was executed (false means the
 // queue is empty, or the run budget is exhausted — see Exhausted).
 func (s *Simulator) Step() bool {
-	t := s.refill()
-	if t == nil {
+	if len(s.heap) == 0 || s.refuses(s.heap[0].at) {
 		return false
 	}
-	if s.refuses(t.at) {
-		return false
-	}
-	s.dueHead++
-	s.fire(t)
+	s.fire()
 	return true
 }
 
-// RunBatch executes the next dense batch of due events — one wheel tick's
-// worth, in (at, seq) order, including events their handlers schedule back
-// into the same tick — and returns how many fired. Zero means the queue is
-// empty or the budget refused (see Exhausted). The batch loop dispatches
-// straight off the sorted due array, so per-event scheduling overhead is a
-// bounds check and a generation compare; Run is a loop over RunBatch.
+// RunBatch executes the earliest pending event and every event after it
+// that falls in the same 2^20 ns tick, including events their handlers
+// schedule into that tick, and returns how many fired. Zero means the queue
+// is empty or the budget refused (see Exhausted).
 func (s *Simulator) RunBatch() int {
-	if s.refill() == nil {
+	if len(s.heap) == 0 {
 		return 0
 	}
+	tick := int64(s.heap[0].at) >> batchShift
 	n := 0
-	for s.dueHead < len(s.due) {
-		e := &s.due[s.dueHead]
-		t := e.t
-		if t.gen != e.gen {
-			s.dueHead++
-			continue
-		}
-		if s.refuses(t.at) {
+	for len(s.heap) > 0 {
+		at := s.heap[0].at
+		if int64(at)>>batchShift != tick || s.refuses(at) {
 			break
 		}
-		s.dueHead++
-		s.fire(t)
+		s.fire()
 		n++
 	}
 	return n
@@ -561,7 +434,7 @@ func (s *Simulator) RunBatch() int {
 
 // Run executes events until the queue is empty or the budget is exhausted.
 func (s *Simulator) Run() {
-	for s.RunBatch() > 0 {
+	for s.Step() {
 	}
 }
 
@@ -570,113 +443,73 @@ func (s *Simulator) Run() {
 // queued. An exhausted budget stops the run early without advancing the
 // clock past the last executed event.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	for {
-		t := s.refill()
-		if t == nil || t.at > deadline {
+	for len(s.heap) > 0 {
+		at := s.heap[0].at
+		if at > deadline {
 			break
 		}
-		if s.refuses(t.at) {
+		if s.refuses(at) {
 			return // budget exhausted; leave the clock where it stopped
 		}
-		s.dueHead++
-		s.fire(t)
+		s.fire()
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
-	if s.wheelCount == 0 && s.dueHead >= len(s.due) {
-		// Nothing queued: fast-forward the cursor so post-deadline schedules
-		// slot at fine granularity instead of cascading up from tick zero.
-		s.cursor = tickOf(s.now)
-	}
 }
 
-// invariantAuditPeriod is how many executed events separate full-wheel
+// invariantAuditPeriod is how many executed events separate full-heap
 // audits in self-check mode; the cheap per-event checks run every Step.
 const invariantAuditPeriod = 4096
 
 // checkInvariants verifies kernel state in self-check mode. Every event it
 // bounds the live counter; every invariantAuditPeriod events it audits the
-// whole wheel: slot placement, occupancy bitmaps, level counters, due-batch
-// ordering, live accounting, and that no queued event predates the clock.
+// whole heap: key order, index back-pointers, cached keys, live accounting,
+// and that no queued event predates the clock.
 func (s *Simulator) checkInvariants() {
-	if s.live < 0 || s.live > s.queuedLen() {
-		panic(fmt.Sprintf("sim: invariant violation: live counter %d outside [0, %d]", s.live, s.queuedLen()))
+	if s.live < 0 || s.live > len(s.heap) {
+		panic(fmt.Sprintf("sim: invariant violation: live counter %d outside [0, %d]", s.live, len(s.heap)))
 	}
 	if s.executed%invariantAuditPeriod != 0 {
 		return
 	}
-	live := 0
-	for l := 0; l < wheelLevels; l++ {
-		shift := uint(l * wheelBits)
-		count := 0
-		for slot := 0; slot < wheelSlots; slot++ {
-			n := 0
-			for t := s.wheel[l][slot]; t != nil; t = t.next {
-				n++
-				if t.cancelled || t.fired {
-					panic(fmt.Sprintf("sim: invariant violation: dead timer linked at level %d slot %d", l, slot))
-				}
-				if int(t.level) != l || int(t.slot) != slot {
-					panic(fmt.Sprintf("sim: invariant violation: timer coordinates (%d,%d) linked at (%d,%d)", t.level, t.slot, l, slot))
-				}
-				tick := tickOf(t.at)
-				if tick <= s.cursor {
-					panic(fmt.Sprintf("sim: invariant violation: wheel timer due tick %d not ahead of cursor %d", tick, s.cursor))
-				}
-				if t.at < s.now {
-					panic(fmt.Sprintf("sim: invariant violation: live event at %v predates clock %v", t.at, s.now))
-				}
-				if l < wheelLevels-1 && int((tick>>shift)&wheelMask) != slot {
-					panic(fmt.Sprintf("sim: invariant violation: due tick %d misfiled in level %d slot %d", tick, l, slot))
-				}
-				live++
-			}
-			if occupied := s.occupied[l][slot>>6]&(1<<(uint(slot)&63)) != 0; occupied != (n > 0) {
-				panic(fmt.Sprintf("sim: invariant violation: occupancy bit for level %d slot %d is %v with %d timers", l, slot, occupied, n))
-			}
-			count += n
+	for i := range s.heap {
+		e := &s.heap[i]
+		t := e.t
+		if int(t.idx) != i {
+			panic(fmt.Sprintf("sim: invariant violation: timer at heap slot %d records index %d", i, t.idx))
 		}
-		if count != s.levelCount[l] {
-			panic(fmt.Sprintf("sim: invariant violation: level %d counter %d but %d timers linked", l, s.levelCount[l], count))
+		if !t.Active() {
+			panic(fmt.Sprintf("sim: invariant violation: dead timer queued at heap slot %d", i))
 		}
-	}
-	prev := -1
-	for i := s.dueHead; i < len(s.due); i++ {
-		e := &s.due[i]
-		if prev >= 0 && cmpDue(s.due[prev], *e) > 0 {
-			panic(fmt.Sprintf("sim: invariant violation: due batch order broken between entries %d and %d", prev, i))
-		}
-		prev = i
-		if e.t.gen != e.gen {
-			continue // stale: invalidated by Stop/Reschedule
+		if e.at != t.at || e.seq != t.seq {
+			panic(fmt.Sprintf("sim: invariant violation: heap slot %d key (%v, %d) but timer (%v, %d)", i, e.at, e.seq, t.at, t.seq))
 		}
 		if e.at < s.now {
-			panic(fmt.Sprintf("sim: invariant violation: due event at %v predates clock %v", e.at, s.now))
+			panic(fmt.Sprintf("sim: invariant violation: live event at %v predates clock %v", e.at, s.now))
 		}
-		live++
+		if i > 0 && e.before(&s.heap[(i-1)/heapArity]) {
+			panic(fmt.Sprintf("sim: invariant violation: heap order broken at slot %d", i))
+		}
 	}
-	if live != s.live {
-		panic(fmt.Sprintf("sim: invariant violation: live counter %d but %d live events queued", s.live, live))
+	if len(s.heap) != s.live {
+		panic(fmt.Sprintf("sim: invariant violation: live counter %d but %d live events queued", s.live, len(s.heap)))
 	}
 }
 
 // Timer is a handle to a scheduled event. It can be cancelled before firing
 // with Stop and moved to a new deadline — before or after firing — with
-// Reschedule.
+// Reschedule or ArmAt.
 type Timer struct {
-	s          *Simulator
-	at         time.Duration
-	seq        uint64
-	gen        uint64 // bumped on every placement change; validates due entries
-	fn         func()
-	h          Handler
-	next, prev *Timer // intrusive wheel-slot list links
-	level      int16  // wheel level, timerInDue, or timerUnqueued
-	slot       int16
-	cancelled  bool
-	fired      bool
-	freeNext   *Timer // free-list link (pooled fire-and-forget events only)
+	s         *Simulator
+	at        time.Duration
+	seq       uint64
+	fn        func()
+	h         Handler
+	idx       int32 // heap slot, or -1 when not queued
+	cancelled bool
+	fired     bool
+	freeNext  *Timer // free-list link (pooled fire-and-forget events only)
 }
 
 // At returns the virtual time the timer is (or was) scheduled to fire.
@@ -684,9 +517,8 @@ func (t *Timer) At() time.Duration { return t.at }
 
 // Stop cancels the timer. It reports whether the cancellation prevented the
 // timer from firing (false if it already fired or was already stopped).
-// Cancellation is O(1): a wheel timer is unlinked from its slot directly, a
-// due-batch entry is invalidated and skipped at dispatch. The callback is
-// retained so the timer can be revived with Reschedule.
+// The timer leaves the heap at once; its callback is retained so the timer
+// can be revived with Reschedule or ArmAt.
 func (t *Timer) Stop() bool {
 	if t.fired || t.cancelled {
 		return false
@@ -697,64 +529,63 @@ func (t *Timer) Stop() bool {
 	if s.tel != nil {
 		s.tel.TimerStops++
 	}
-	if t.level >= 0 {
-		s.unlink(t)
-	} else if t.level == timerInDue {
-		t.gen++
-		t.level = timerUnqueued
-	}
+	s.remove(int(t.idx))
 	return true
 }
 
 // Active reports whether the timer is still scheduled to fire.
 func (t *Timer) Active() bool { return !t.fired && !t.cancelled }
 
-// Reschedule moves the timer to fire at now+delay, reusing its callback and
-// its kernel state. It works on active timers (re-slotted in place — when
-// the new deadline maps to the timer's current wheel slot not even that),
-// on stopped ones, and on fired ones (both are revived), so periodic timers
+// Reschedule moves the timer to fire at now+delay under a fresh FIFO stamp,
+// reusing its callback and its kernel state. It works on active timers, on
+// stopped ones, and on fired ones (both are revived), so periodic timers
 // avoid the Stop+Schedule allocate-per-arm churn entirely. Reschedule panics
 // on a negative delay.
 func (t *Timer) Reschedule(delay time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: Reschedule with negative delay %v", delay))
 	}
-	if t.fn == nil && t.h == nil {
-		panic("sim: Reschedule on a timer without a callback")
-	}
 	s := t.s
-	t.at = s.now + delay
-	t.seq = s.seq
-	s.seq++
 	if s.tel != nil {
 		s.tel.TimerReschedules++
 	}
-	switch {
-	case t.fired || t.cancelled:
-		// Revive: fire/Stop left the timer unqueued.
+	seq := s.seq
+	s.seq++
+	t.arm(s.now+delay, seq)
+}
+
+// ArmAt moves the timer to fire at absolute time at under the sequence
+// stamp seq, which the caller reserved with NextSeq: among events at the
+// same time it fires where an event scheduled at that reservation would
+// have. Like Reschedule it revives stopped and fired timers; unlike it,
+// ArmAt consumes no stamp and is not counted in telemetry. ArmAt panics
+// when at is in the past.
+func (t *Timer) ArmAt(at time.Duration, seq uint64) {
+	if at < t.s.now {
+		panic(fmt.Sprintf("sim: ArmAt(%v) is before current time %v", at, t.s.now))
+	}
+	t.arm(at, seq)
+}
+
+// arm sets the timer's key and queues it: an active timer, or one that
+// kept its slot while its handler runs, is sifted in place; any other is
+// revived and pushed.
+func (t *Timer) arm(at time.Duration, seq uint64) {
+	if t.fn == nil && t.h == nil {
+		panic("sim: re-arming a timer without a callback")
+	}
+	s := t.s
+	t.at, t.seq = at, seq
+	if !t.Active() {
 		t.fired = false
 		t.cancelled = false
-		s.live++
-		if s.tel != nil && int64(s.live) > s.tel.MaxPending {
-			s.tel.MaxPending = int64(s.live)
-		}
-		s.place(t)
-	case t.level == timerInDue:
-		// Invalidate the sorted entry and re-place under the new stamp.
-		t.gen++
-		s.place(t)
-	default:
-		// Active in a wheel slot: skip the relink when the new deadline
-		// lands in the same slot (the common per-ACK RTO rearm).
-		if tick := tickOf(t.at); tick > s.cursor {
-			if level, slot := s.placement(tick); level == int(t.level) && slot == int(t.slot) {
-				if s.tel != nil {
-					s.tel.RearmsInPlace++
-				}
-				return
-			}
-		}
-		s.unlink(t)
-		s.place(t)
+		s.addLive()
 	}
+	if t.idx < 0 {
+		s.push(t)
+		return
+	}
+	e := &s.heap[t.idx]
+	e.at, e.seq = at, seq
+	s.fix(int(t.idx))
 }

@@ -266,8 +266,8 @@ func TestPendingCounter(t *testing.T) {
 
 func TestCancelledEventsDoNotAccumulate(t *testing.T) {
 	// The cancelled-event leak regression test: stopping far-future timers
-	// over and over must not grow the queue — a stopped wheel timer is
-	// unlinked from its slot immediately, so only the survivor remains.
+	// over and over must not grow the queue — a stopped timer leaves the
+	// heap immediately, so only the survivor remains.
 	s := New()
 	keep := s.Schedule(time.Hour, func() {})
 	const churn = 100_000
@@ -628,7 +628,7 @@ func TestInvariantChecksPassOnNormalWorkload(t *testing.T) {
 				timers[0].Reschedule(d)
 			}
 		}
-		// Drain periodically so the wheel sees advances interleaved with
+		// Drain periodically so the heap sees pops interleaved with
 		// insertions.
 		if i%64 == 63 {
 			for j := 0; j < 32; j++ {
@@ -641,5 +641,85 @@ func TestInvariantChecksPassOnNormalWorkload(t *testing.T) {
 	s.Run()
 	if n == 0 {
 		t.Fatal("workload fired nothing")
+	}
+}
+
+func TestNewTimerStartsUnarmed(t *testing.T) {
+	s := New()
+	n := 0
+	tm := s.NewTimer(func() { n++ })
+	if tm.Active() || s.Pending() != 0 {
+		t.Fatalf("new timer active=%v pending=%d, want unarmed", tm.Active(), s.Pending())
+	}
+	if tm.Stop() {
+		t.Fatal("Stop on an unarmed timer returned true")
+	}
+	s.Run()
+	if n != 0 {
+		t.Fatal("unarmed timer fired")
+	}
+	tm.ArmAt(3*time.Millisecond, s.NextSeq())
+	if !tm.Active() || s.Pending() != 1 {
+		t.Fatalf("armed timer active=%v pending=%d", tm.Active(), s.Pending())
+	}
+	s.Run()
+	if n != 1 || s.Now() != 3*time.Millisecond {
+		t.Fatalf("fired %d times at %v, want once at 3ms", n, s.Now())
+	}
+}
+
+func TestArmAtFiresAtItsReservation(t *testing.T) {
+	// A stamp reserved before other events were scheduled at the same
+	// instant fires ahead of them, as an event scheduled at the reservation
+	// would have.
+	s := New()
+	var order []string
+	seq := s.NextSeq()
+	s.Schedule(5*time.Millisecond, func() { order = append(order, "scheduled") })
+	tm := s.NewTimer(func() { order = append(order, "reserved") })
+	tm.ArmAt(5*time.Millisecond, seq)
+	s.Run()
+	if len(order) != 2 || order[0] != "reserved" || order[1] != "scheduled" {
+		t.Fatalf("order = %v, want [reserved scheduled]", order)
+	}
+}
+
+func TestArmAtPastPanics(t *testing.T) {
+	s := New()
+	s.Schedule(time.Second, func() {})
+	s.Run()
+	tm := s.NewTimer(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("ArmAt in the past did not panic")
+		}
+	}()
+	tm.ArmAt(time.Millisecond, s.NextSeq())
+}
+
+func TestTimerRearmedByItsHandlerKeepsItsSlot(t *testing.T) {
+	// While a timer's handler runs, the timer is fired (not pending) but
+	// keeps its heap slot; re-arming it there moves the slot, and a handler
+	// that does not re-arm gives the slot up when it returns.
+	s := New()
+	var tm *Timer
+	fired := 0
+	tm = s.Schedule(time.Millisecond, func() {
+		fired++
+		if tm.Active() || s.Pending() != 1 || s.queuedLen() != 2 {
+			t.Errorf("in handler %d: active=%v pending=%d queued=%d, want false/1/2",
+				fired, tm.Active(), s.Pending(), s.queuedLen())
+		}
+		if fired < 3 {
+			tm.Reschedule(time.Millisecond)
+		}
+	})
+	s.Schedule(time.Hour, func() {})
+	s.RunUntil(time.Minute)
+	if fired != 3 || tm.Active() {
+		t.Fatalf("fired %d times, active=%v; want 3, inactive", fired, tm.Active())
+	}
+	if s.Pending() != 1 || s.queuedLen() != 1 {
+		t.Fatalf("pending=%d queued=%d after the handler gave its slot up, want 1/1", s.Pending(), s.queuedLen())
 	}
 }

@@ -118,3 +118,20 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+func TestKernelTelemetryBatchesOnRunUntil(t *testing.T) {
+	// Batches are runs of consecutively fired events in one 2^20 ns tick,
+	// counted on every run path: three events in one tick and one in a
+	// later tick make two batches.
+	s := New()
+	var k telemetry.Kernel
+	s.SetTelemetry(&k)
+	for _, at := range []time.Duration{0, 10 * time.Microsecond, 20 * time.Microsecond, 5 * time.Millisecond} {
+		s.At(at, func() {})
+	}
+	s.RunUntil(time.Second)
+	if k.Events != 4 || k.Batches != 2 || k.BatchEvents != 4 || k.MaxBatch != 3 {
+		t.Fatalf("events/batches/batch_events/max_batch = %d/%d/%d/%d, want 4/2/4/3",
+			k.Events, k.Batches, k.BatchEvents, k.MaxBatch)
+	}
+}

@@ -147,12 +147,12 @@ func (d *Dist) UnmarshalJSON(raw []byte) error {
 
 // Kernel collects event-kernel metrics for one simulation (or, after
 // merging, a whole campaign). Events counts executed events; Scheduled
-// counts timing-wheel insertions (not Reschedule re-arms); PoolHits/
-// PoolMisses track the fire-and-forget event free list; the wheel counters
-// (Cascades, RearmsInPlace, Batches, MaxBatch, MaxSlot) describe scheduler
-// health: how often events were redistributed from coarse wheel levels, how
-// often a periodic timer re-armed without moving, and how dense the per-tick
-// dispatch batches ran.
+// counts FIFO stamps handed out to new events and to reservations
+// (Simulator.NextSeq, one per link packet), not Reschedule re-arms;
+// PoolHits/PoolMisses track the fire-and-forget event free list; the batch
+// counters (Batches, BatchEvents, MaxBatch) describe how densely events
+// fired: a batch is a run of consecutively fired events in one 2^20 ns
+// tick.
 type Kernel struct {
 	Events     int64 `json:"events"`
 	Scheduled  int64 `json:"scheduled"`
@@ -160,20 +160,12 @@ type Kernel struct {
 	PoolMisses int64 `json:"pool_misses"`
 	// MaxPending is the peak number of scheduled, not-yet-fired events.
 	MaxPending int64 `json:"max_pending" merge:"max"`
-	// Cascades counts events redistributed from a coarse wheel level toward
-	// the finest one as virtual time advanced past their slot.
-	Cascades int64 `json:"cascades"`
-	// RearmsInPlace counts Reschedule calls that kept the timer in its
-	// current wheel slot, skipping the unlink/relink entirely.
-	RearmsInPlace int64 `json:"rearms_in_place"`
-	// Batches counts non-empty per-tick dispatch batches; BatchEvents is the
-	// events dispatched through them (BatchEvents/Batches = mean density).
+	// Batches counts dispatch batches; BatchEvents is the events fired in
+	// them (BatchEvents/Batches = mean density).
 	Batches     int64 `json:"batches"`
 	BatchEvents int64 `json:"batch_events"`
-	// MaxBatch is the largest single dispatch batch; MaxSlot the largest
-	// single wheel-slot occupancy observed while draining.
+	// MaxBatch is the largest single dispatch batch.
 	MaxBatch         int64 `json:"max_batch" merge:"max"`
-	MaxSlot          int64 `json:"max_slot_occupancy" merge:"max"`
 	TimerStops       int64 `json:"timer_stops"`
 	TimerReschedules int64 `json:"timer_reschedules"`
 	// VirtualNS is the total virtual time simulated, in nanoseconds.

@@ -100,11 +100,11 @@ func TestHistBucketsAndMerge(t *testing.T) {
 
 func TestKernelMergeAndDerived(t *testing.T) {
 	a := Kernel{Events: 10, Scheduled: 12, PoolHits: 8, PoolMisses: 2,
-		MaxPending: 5, Cascades: 3, RearmsInPlace: 2, Batches: 4, BatchEvents: 9,
-		MaxBatch: 6, MaxSlot: 2, VirtualNS: 100, BudgetEvents: 40}
+		MaxPending: 5, Batches: 4, BatchEvents: 9,
+		MaxBatch: 6, VirtualNS: 100, BudgetEvents: 40}
 	b := Kernel{Events: 20, Scheduled: 21, PoolHits: 0, PoolMisses: 10,
-		MaxPending: 9, Cascades: 1, RearmsInPlace: 5, Batches: 2, BatchEvents: 11,
-		MaxBatch: 3, MaxSlot: 7, VirtualNS: 50, BudgetEvents: 60}
+		MaxPending: 9, Batches: 2, BatchEvents: 11,
+		MaxBatch: 3, VirtualNS: 50, BudgetEvents: 60}
 	c := NewCampaign()
 	c.AddFlow(&Flow{Kernel: a})
 	c.AddFlow(&Flow{Kernel: b})
@@ -112,11 +112,11 @@ func TestKernelMergeAndDerived(t *testing.T) {
 	if a.Events != 30 || a.Scheduled != 33 || a.MaxPending != 9 {
 		t.Fatalf("merged Kernel = %+v", a)
 	}
-	if a.Cascades != 4 || a.RearmsInPlace != 7 || a.Batches != 6 || a.BatchEvents != 20 {
-		t.Fatalf("merged wheel counters = %+v", a)
+	if a.Batches != 6 || a.BatchEvents != 20 {
+		t.Fatalf("merged batch counters = %+v", a)
 	}
-	if a.MaxBatch != 6 || a.MaxSlot != 7 {
-		t.Fatalf("merged wheel gauges = %+v", a)
+	if a.MaxBatch != 6 {
+		t.Fatalf("merged batch gauge = %+v", a)
 	}
 	if got := a.PoolHitRate(); got != 0.4 {
 		t.Errorf("PoolHitRate = %v, want 0.4", got)
